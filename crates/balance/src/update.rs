@@ -2,15 +2,16 @@
 //!
 //! Every edit is first realized by an `O(1)` splice of term nodes anchored at the
 //! term leaf of the edited tree node (this is the paper's *tree hollowing*: the new
-//! term reuses all untouched subterms).  The splice can degrade balance, so we then
-//! apply scapegoat-style partial rebuilding: if the spliced leaf ended up too deep
-//! relative to `log₂` of the term weight, the highest offending subterm is rebuilt
-//! from scratch with the balanced construction of [`crate::build`].  This gives
-//! amortized logarithmic work per edit and keeps the term height logarithmic, which
-//! is what the circuit-repair cost of Lemma 7.3 depends on.
+//! term reuses all untouched subterms).  The splice can degrade balance, so once the
+//! edits of a batch are spliced, [`apply_edits`] applies scapegoat-style partial
+//! rebuilding: while some touched node is too deep relative to `log₂` of the term
+//! weight, its lowest ancestor whose subterm is too deep for its own weight is
+//! rebuilt from scratch with the balanced construction of [`crate::build`].  This
+//! keeps the term height logarithmic with local rebuilds, which is what the
+//! circuit-repair cost of Lemma 7.3 depends on.  [`apply_edit`] is a batch of one.
 //!
-//! [`apply_edit`] reports every term node whose subterm changed (`dirty`, bottom-up)
-//! and every freed node, so the engine can repair the assignment circuit and the
+//! Each [`UpdateReport`] names every term node whose subterm changed (`dirty`) and
+//! every freed node, so the engine can repair the assignment circuit and the
 //! enumeration index for exactly those boxes.
 
 use crate::build::{build_context_subterm, build_forest_subterm};
@@ -28,8 +29,12 @@ const DEPTH_SLACK: usize = 4;
 /// The outcome of applying one edit to the term.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateReport {
-    /// Term nodes whose subterm changed, in bottom-up order (children before
-    /// parents).  The engine must recompute the circuit box and index entry of each.
+    /// Term nodes whose subterm changed, each with its full spine to the root.
+    /// A report of one splice or one rebuild lists them bottom-up (children
+    /// before parents); the folded report of [`apply_edit`] is the union of
+    /// such lists in application order, so it may repeat a node and name
+    /// nodes a later rebuild freed.  The engine must recompute the circuit box
+    /// and index entry of each live one.
     pub dirty: Vec<TermNodeId>,
     /// Term nodes that were removed from the term (their boxes must be freed).
     pub freed: Vec<TermNodeId>,
@@ -71,16 +76,16 @@ impl BatchReport {
 /// report per end-of-batch rebuild) bundled for a single deduplicated
 /// downstream repair pass.
 ///
-/// The resulting *tree* is identical to `ops.len()` separate [`apply_edit`]
-/// calls; the *term* may differ structurally (it is rebalanced once instead
-/// of after every op) but satisfies the same invariants and the same height
-/// bound once the batch completes.  Deferring matters for clustered batches:
-/// an insert flood into one hot subtree triggers several mid-batch scapegoat
-/// rebuilds under sequential application — each rebuilding (and re-dirtying)
-/// a growing subtree — where the batch pays for at most a few rebuilds of
-/// the final shape.  Mid-batch the term can transiently exceed the depth
-/// limit by at most `ops.len()`, which only lengthens the spines of the
-/// batch's own dirty reports.
+/// The resulting *tree* is identical to `ops.len()` batches of one; the
+/// *term* may differ structurally (it is rebalanced once instead of after
+/// every op) but satisfies the same invariants and the same height bound
+/// once the batch completes.  Deferring matters for clustered batches: an
+/// insert flood into one hot subtree triggers several pocket rebuilds when
+/// applied one op at a time — each rebuilding (and re-dirtying) a growing
+/// subtree — where the batch pays for at most a few rebuilds of the final
+/// shape.  Mid-batch the term can transiently exceed the depth limit by at
+/// most `ops.len()`, which only lengthens the spines of the batch's own
+/// dirty reports.
 pub fn apply_edits(
     tree: &mut UnrankedTree,
     term: &mut Term,
@@ -94,7 +99,7 @@ pub fn apply_edits(
     // One rebalancing sweep over everything the batch touched, repeated
     // until no touched node is too deep (each pass rebuilds the lowest
     // violating ancestor of the currently deepest violator — the flooded
-    // pocket, see `Scapegoat::Lowest`; a rebuilt subtree is internally
+    // pocket, see `rebalance_scapegoat`; a rebuilt subtree is internally
     // balanced, so at most a few passes run even for floods).  Depths are
     // computed through a memo slab — the touched set holds k near-complete
     // spines, and bare `term.depth` walks would cost O(k · log²n) per sweep.
@@ -120,7 +125,7 @@ pub fn apply_edits(
         let Some((depth, deepest)) = deepest else {
             break;
         };
-        match rebalance_scapegoat(tree, term, phi, deepest, depth as usize, Scapegoat::Lowest) {
+        match rebalance_scapegoat(tree, term, phi, deepest, depth as usize) {
             None => break,
             Some(extra) => {
                 touched.extend(extra.dirty.iter().copied());
@@ -167,26 +172,27 @@ fn memo_depth(term: &Term, depths: &mut [u32], n: TermNodeId) -> u32 {
 }
 
 /// Applies `op` to both the unranked tree and its balanced term (keeping the `φ`
-/// mapping up to date), and reports the affected term nodes.
+/// mapping up to date), and reports the affected term nodes: [`apply_edits`] on
+/// a batch of one, with its reports folded into one [`UpdateReport`].
 pub fn apply_edit(
     tree: &mut UnrankedTree,
     term: &mut Term,
     phi: &mut HashMap<NodeId, TermNodeId>,
     op: &EditOp,
 ) -> UpdateReport {
-    let mut report = apply_edit_unbalanced(tree, term, phi, op);
-    // Rebalance if the splice left some touched node too deep.
-    let rebalance = rebalance_if_needed(tree, term, phi, &report.dirty);
-    if let Some(mut extra) = rebalance {
+    let mut reports = apply_edits(tree, term, phi, std::slice::from_ref(op))
+        .reports
+        .into_iter();
+    let mut report = reports.next().expect("one report per edit");
+    for mut extra in reports {
         report.dirty.append(&mut extra.dirty);
         report.freed.append(&mut extra.freed);
     }
     report
 }
 
-/// The `O(1)` splice of [`apply_edit`] *without* the scapegoat rebalancing
-/// check — the batch path ([`apply_edits`]) defers rebalancing to one sweep
-/// at the end of the batch.
+/// The `O(1)` splice of one edit *without* the scapegoat rebalancing check —
+/// [`apply_edits`] defers rebalancing to one sweep at the end of the batch.
 fn apply_edit_unbalanced(
     tree: &mut UnrankedTree,
     term: &mut Term,
@@ -511,51 +517,18 @@ fn rebuild_subterm(
     }
 }
 
-/// Scapegoat-style rebalancing: if any touched node is deeper than
-/// `DEPTH_SLACK · (log₂(n) + 1)`, rebuild the highest ancestor whose subterm is too
-/// deep relative to its own weight.
-fn rebalance_if_needed(
-    tree: &UnrankedTree,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-    touched: &[TermNodeId],
-) -> Option<UpdateReport> {
-    let deepest = touched
-        .iter()
-        .copied()
-        .filter(|&n| term.is_live(n))
-        .max_by_key(|&n| term.depth(n))?;
-    let depth = term.depth(deepest);
-    rebalance_scapegoat(tree, term, phi, deepest, depth, Scapegoat::Highest)
-}
-
-/// Which violating ancestor a rebalance rebuilds (see [`rebalance_scapegoat`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scapegoat {
-    /// The highest ancestor whose subterm is too deep for its weight — the
-    /// classic choice of the per-edit path: rare, large rebuilds.
-    Highest,
-    /// The lowest such ancestor — the flooded pocket itself.  Used by the
-    /// batch sweep: pocket rebuilds are small and land inside the batch's
-    /// shared dirty spine (the downstream repair dedups them), and the sweep
-    /// loop re-checks until no touched node violates the global limit, so
-    /// the end-of-batch height bound matches the per-edit path's.
-    Lowest,
-}
-
-/// The rebuild half of a rebalance, with the deepest touched node (and its
-/// depth) already determined by the caller: walks the ancestors of `deepest`,
-/// finds the `pick`-selected ancestor whose subterm depth exceeds the budget
-/// for its own weight, and rebuilds it.  Both rebalancing policies share this
-/// one walk so the weight-budget formula cannot silently diverge between the
-/// per-edit and batch paths.
+/// Scapegoat-style rebalancing of `deepest` (at `depth`, as computed by the
+/// caller): if it is deeper than `DEPTH_SLACK · (log₂(n) + 1)`, rebuild its
+/// lowest ancestor whose subterm is too deep for its own weight — the flooded
+/// pocket itself.  Pocket rebuilds are small and land inside the dirty spine
+/// the edits already reported; [`apply_edits`] re-checks until no touched
+/// node violates the global limit.
 fn rebalance_scapegoat(
     tree: &UnrankedTree,
     term: &mut Term,
     phi: &mut HashMap<NodeId, TermNodeId>,
     deepest: TermNodeId,
     depth: usize,
-    pick: Scapegoat,
 ) -> Option<UpdateReport> {
     let total = term.weight(term.root()).max(2);
     let limit = DEPTH_SLACK * (total.ilog2() as usize + 1);
@@ -563,30 +536,19 @@ fn rebalance_scapegoat(
         return None;
     }
     let mut below = 0usize;
-    let mut scapegoat = None;
-    let mut topmost = deepest;
     let mut cur = deepest;
     while let Some(p) = term.parent(cur) {
         below += 1;
         let w = term.weight(p).max(2);
-        if below > DEPTH_SLACK * (w.ilog2() as usize + 1) {
-            scapegoat = Some(p);
-            if pick == Scapegoat::Lowest {
-                break;
-            }
-        }
         cur = p;
-        topmost = p;
+        if below > DEPTH_SLACK * (w.ilog2() as usize + 1) {
+            break;
+        }
     }
-    // `scapegoat` is only None when the absolute depth comes from accumulated
-    // slack without any single subtree violating its own budget; rebuilding
-    // from the topmost ancestor (the root) restores the bound regardless.
-    Some(rebuild_subterm(
-        tree,
-        term,
-        phi,
-        scapegoat.unwrap_or(topmost),
-    ))
+    // If no single ancestor violates its own budget, the absolute depth comes
+    // from accumulated slack and the walk ended at the root; rebuilding the
+    // root restores the bound regardless.
+    Some(rebuild_subterm(tree, term, phi, cur))
 }
 
 #[cfg(test)]
@@ -735,6 +697,8 @@ mod tests {
         );
     }
 
+    /// Chunking invariance: one batch of 7 against 7 batches of one (which is
+    /// what sequential `apply_edit` calls are).
     #[test]
     fn apply_edits_matches_sequential_apply_edit_on_the_tree() {
         let mut sigma = Alphabet::from_names(["a", "b", "c"]);
@@ -776,8 +740,8 @@ mod tests {
     #[test]
     fn batched_insert_floods_keep_height_logarithmic() {
         // The deferred end-of-batch rebalancing must restore the same height
-        // bound the per-edit path maintains, even for pure insert floods at
-        // one spot (the adversarial case for deferral).
+        // bound as batches of one, even for pure insert floods at one spot
+        // (the adversarial case for deferral).
         let sigma = Alphabet::from_names(["a"]);
         let a = sigma.get("a").unwrap();
         let mut tree = UnrankedTree::new(a);
@@ -832,7 +796,8 @@ mod tests {
             assert!(term.is_live(d));
         }
         assert!(rep.dirty.contains(&term.root()));
-        // Bottom-up order: a node never appears before one of its descendants appears.
+        // Bottom-up order (this edit triggers no rebuild, so its folded report is
+        // one splice report): a node never appears before one of its descendants.
         for (i, &d) in rep.dirty.iter().enumerate() {
             for &later in &rep.dirty[i + 1..] {
                 assert!(

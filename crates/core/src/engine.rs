@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, TryLockError};
 use treenum_automata::StepwiseTva;
 use treenum_balance::build::build_balanced_term;
 use treenum_balance::term::{Term, TermNodeId};
-use treenum_balance::update::{apply_edit, apply_edits};
+use treenum_balance::update::apply_edits;
 use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, StateGate};
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::dedup::enumerate_root_with;
@@ -53,21 +53,19 @@ pub struct TreeEnumerator {
     box_of: Vec<Option<BoxId>>,
     index: EnumIndex,
     mode: BoxEnumMode,
-    /// Epoch-marked scratch bitmaps for `apply` (a slot is "set" iff it holds
-    /// the current epoch): O(spine) per edit instead of O(n) re-zeroing.
+    /// Epoch-marked scratch bitmaps for `apply_batch` (a slot is "set" iff it
+    /// holds the current epoch): O(spine) per batch instead of O(n) re-zeroing.
     scratch_epoch: u64,
+    /// Term nodes dirtied this batch.
     term_mark: Vec<u64>,
-    /// Boxes whose content or child links changed this edit.
+    /// Boxes whose content or child links changed this batch.
     content_mark: Vec<u64>,
-    /// Boxes whose index entry changed this edit.
+    /// Boxes whose index entry changed this batch.
     entry_mark: Vec<u64>,
-    /// Per-batch memoized term depths (`depth_mark[i] == epoch` means
-    /// `depth_val[i]` is current): the batch repair sorts the dirty union by
-    /// depth, and computing each depth by a fresh parent walk would cost
-    /// O(|union| · height) — after a scapegoat rebuild the union holds whole
-    /// subtrees, so the walks are memoized to O(|union|) total.
-    depth_mark: Vec<u64>,
-    depth_val: Vec<u32>,
+    /// Repair-walk scratch: the DFS stack and the marked term nodes in
+    /// pre-order, kept warm across batches.
+    walk_stack: Vec<TermNodeId>,
+    walk_order: Vec<TermNodeId>,
     /// Reusable per-answer enumeration scratch (pools + counters), kept warm
     /// across `apply`/re-enumeration cycles.  A `Mutex` because enumeration
     /// takes `&self` and the engine is shared across reader threads by the
@@ -102,44 +100,6 @@ fn marked(marks: &[u64], epoch: u64, i: usize) -> bool {
     marks.get(i).copied() == Some(epoch)
 }
 
-/// Memoized term depth for the batch repair: walks up until a node with a
-/// cached depth (or the root), then assigns depths top-down along the walked
-/// path, so every node's depth is computed once per batch.
-fn cached_depth(
-    term: &treenum_balance::term::Term,
-    epoch: u64,
-    marks: &mut Vec<u64>,
-    vals: &mut Vec<u32>,
-    path: &mut Vec<TermNodeId>,
-    n: TermNodeId,
-) -> u32 {
-    path.clear();
-    let mut cur = n;
-    while !marked(marks, epoch, cur.index()) {
-        path.push(cur);
-        match term.parent(cur) {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    // If the walk stopped at a cached ancestor, continue from its depth; if
-    // it pushed the (uncached) root, the wrapping add below assigns it 0.
-    let mut depth = if marked(marks, epoch, cur.index()) {
-        vals[cur.index()]
-    } else {
-        u32::MAX
-    };
-    for &node in path.iter().rev() {
-        depth = depth.wrapping_add(1);
-        mark(marks, epoch, node.index());
-        if node.index() >= vals.len() {
-            vals.resize(node.index() + 1, 0);
-        }
-        vals[node.index()] = depth;
-    }
-    depth
-}
-
 impl TreeEnumerator {
     /// Preprocessing: builds the enumeration structure for `query` (a stepwise TVA
     /// over `base_alphabet_len` labels) on `tree`.
@@ -164,8 +124,8 @@ impl TreeEnumerator {
             term_mark: Vec::new(),
             content_mark: Vec::new(),
             entry_mark: Vec::new(),
-            depth_mark: Vec::new(),
-            depth_val: Vec::new(),
+            walk_stack: Vec::new(),
+            walk_order: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
         };
         let order = engine.term.subtree_postorder(engine.term.root());
@@ -431,7 +391,29 @@ impl TreeEnumerator {
     /// the term, the circuit boxes and the index entries of exactly the dirtied
     /// nodes (Lemma 7.3).  Returns the node created by an insertion, if any.
     ///
-    /// Two layers of spine-only narrowing on top of the dirty report:
+    /// A batch of one: see [`TreeEnumerator::apply_batch`].
+    pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
+        self.apply_batch(std::slice::from_ref(op)).pop()
+    }
+
+    /// Applies a batch of `k` edit operations with **one** deduplicated
+    /// circuit/index repair pass instead of `k` independent passes.  Returns
+    /// the nodes created by the batch's insertions, in operation order.
+    ///
+    /// The resulting *tree* and answers are identical to `k` batches of one
+    /// ([`TreeEnumerator::apply`]); the balanced *term* may differ
+    /// structurally, because [`apply_edits`] runs the splices op by op but
+    /// defers scapegoat rebalancing to one end-of-batch sweep (same
+    /// invariants and height bound once the batch completes).  Edits that
+    /// land in one subtree share most of their `O(log n)` dirty spine, so the
+    /// per-edit reports are folded into an epoch-marked dirty set first —
+    /// replayed in order, because a term arena slot freed by one edit can be
+    /// reused (and re-dirtied) by a later one.  Every report carries its full
+    /// spine to the root, so the marked set is closed under ancestors: a
+    /// walk from the term root that descends only into marked nodes visits
+    /// the union in `O(|union|)`, and its pre-order reversed puts children
+    /// first.  The union is then repaired bottom-up once, with two layers of
+    /// spine-only narrowing:
     ///
     /// * a box whose recomputed content and child links are unchanged is left in
     ///   place (gamma changes usually fixpoint a few steps up the spine, so the
@@ -439,80 +421,13 @@ impl TreeEnumerator {
     /// * an index entry is rebuilt only if the box itself changed or a
     ///   descendant's index entry was rebuilt — unchanged boxes above a
     ///   fixpointed spine keep their entries too.
-    // hot-path: the per-edit update; the O(polylog) amortized bound assumes
-    // no allocation beyond the epoch-marked scratch it already owns.
-    pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
-        let report = apply_edit(&mut self.tree, &mut self.term, &mut self.phi, op);
-        // Free the boxes of removed term nodes first (their arena slots may be reused
-        // by the new nodes created by the same edit).
-        for freed in &report.freed {
-            if let Some(b) = self.take_box_of(*freed) {
-                self.index.remove_box(b);
-                if self.circuit.is_live(b) {
-                    self.circuit.free_single(b);
-                }
-            }
-        }
-        // Dedup the dirty list keeping the first (bottom-up) occurrence: splice +
-        // rebalance reports can mention the same spine node twice.
-        self.scratch_epoch += 1;
-        let epoch = self.scratch_epoch;
-        let mut dirty: Vec<TermNodeId> = Vec::with_capacity(report.dirty.len());
-        for &d in &report.dirty {
-            if !self.term.is_live(d) || marked(&self.term_mark, epoch, d.index()) {
-                continue;
-            }
-            mark(&mut self.term_mark, epoch, d.index());
-            dirty.push(d);
-        }
-        // Repair the dirtied boxes bottom-up: content, then child links.
-        for &d in &dirty {
-            let (b, changed) = self.rebuild_box_for(d);
-            if changed {
-                mark(&mut self.content_mark, epoch, b.index());
-            }
-        }
-        let root_box = self.box_of(self.term.root());
-        self.circuit.set_root_force(root_box);
-        // Repair index entries bottom-up.  An entry is stale iff the box's own
-        // wires changed or a child's *entry* changed; a rebuilt-but-identical
-        // child entry stops the propagation (the entry is a function of the
-        // box's wires and the children's entries only).
-        for &d in &dirty {
-            let b = self.box_of(d);
-            let entry_stale = marked(&self.content_mark, epoch, b.index())
-                || self.circuit.children(b).is_some_and(|(l, r)| {
-                    marked(&self.entry_mark, epoch, l.index())
-                        || marked(&self.entry_mark, epoch, r.index())
-                })
-                || !self.index.has(b);
-            if entry_stale && self.index.rebuild_box_changed(&self.circuit, b) {
-                mark(&mut self.entry_mark, epoch, b.index());
-            }
-        }
-        report.inserted
-    }
-
-    /// Applies a batch of `k` edit operations with **one** deduplicated
-    /// circuit/index repair pass instead of `k` independent passes.  Returns
-    /// the nodes created by the batch's insertions, in operation order.
     ///
-    /// The resulting *tree* is identical to `k` sequential
-    /// [`TreeEnumerator::apply`] calls and the answers are too; the balanced
-    /// *term* may differ structurally, because [`apply_edits`] runs the
-    /// splices op by op but defers scapegoat rebalancing to one end-of-batch
-    /// sweep (same invariants and height bound once the batch completes).
-    /// Edits that land in one subtree share most of their `O(log n)` dirty
-    /// spine, so the per-edit reports are folded into an epoch-marked dirty
-    /// set first — replayed in order, because a term arena slot freed by one
-    /// edit can be reused (and re-dirtied) by a later one — and the union is
-    /// then repaired bottom-up once, with the same content/index-entry
-    /// fixpoint early exits as the single-edit path.  Repair cost is
-    /// `O(|union of spines|)`, not `O(k · log n)`;
+    /// Repair cost is `O(|union of spines|)`, not `O(k · log n)`;
     /// [`IndexStats::spine_nodes_deduped`] counts the sharing and
-    /// [`IndexStats::batch_rebuilds`] the passes.
-    // hot-path: the k-edit update; per-edit work must stay proportional to
-    // the deduplicated spine union, with only per-batch O(k) buffers below.
+    /// [`IndexStats::batch_rebuilds`] the passes (one per non-empty call,
+    /// including each [`TreeEnumerator::apply`]).
+    // hot-path: the only update path; per-edit work must stay proportional
+    // to the deduplicated spine union, on scratch the engine already owns.
     pub fn apply_batch(&mut self, ops: &[EditOp]) -> Vec<NodeId> {
         if ops.is_empty() {
             // analyze: allow(alloc): `Vec::new` of the empty result never allocates
@@ -521,8 +436,6 @@ impl TreeEnumerator {
         let batch = apply_edits(&mut self.tree, &mut self.term, &mut self.phi, ops);
         self.scratch_epoch += 1;
         let epoch = self.scratch_epoch;
-        // analyze: allow(alloc): one per-batch buffer, amortized over k edits
-        let mut dirty: Vec<TermNodeId> = Vec::new();
         let mut deduped = 0u64;
         for report in &batch.reports {
             // Free the boxes of removed term nodes first (their arena slots
@@ -536,7 +449,7 @@ impl TreeEnumerator {
                 }
                 // A slot dirtied by an earlier edit and freed here must not
                 // be repaired as the old node; unmarking lets a later edit
-                // that reuses the slot queue it afresh.
+                // that reuses the slot mark it afresh.
                 if marked(&self.term_mark, epoch, freed.index()) {
                     self.term_mark[freed.index()] = 0;
                 }
@@ -544,54 +457,52 @@ impl TreeEnumerator {
             for &d in &report.dirty {
                 if marked(&self.term_mark, epoch, d.index()) {
                     deduped += 1;
-                    continue;
+                } else {
+                    mark(&mut self.term_mark, epoch, d.index());
                 }
-                mark(&mut self.term_mark, epoch, d.index());
-                dirty.push(d);
             }
         }
-        // The union of the dirty spines, children before parents: sort by
-        // term depth descending (a child is strictly deeper than its parent,
-        // and every changed child of a dirty node is itself dirty).  A slot
-        // freed and re-dirtied mid-batch can appear twice in `dirty`; the
-        // occurrences share one (depth, id) key, so `dedup` removes the
-        // extra one after the sort.  Depths are memoized per batch (see
-        // `cached_depth`) — a fresh parent walk per node would degrade to
-        // O(|union| · height) when a rebalance puts whole subtrees in the
-        // union.
-        // analyze: allow(alloc): per-batch depth-walk scratch, same story
-        let mut path: Vec<TermNodeId> = Vec::new();
-        let mut by_depth: Vec<(u32, TermNodeId)> = dirty
-            .iter()
-            .filter(|&&d| self.term.is_live(d) && marked(&self.term_mark, epoch, d.index()))
-            .map(|&d| {
-                (
-                    cached_depth(
-                        &self.term,
-                        epoch,
-                        &mut self.depth_mark,
-                        &mut self.depth_val,
-                        &mut path,
-                        d,
-                    ),
-                    d,
-                )
-            })
-            // analyze: allow(alloc): the per-batch spine-union buffer.
-            .collect();
-        by_depth.sort_unstable_by_key(|&(depth, d)| (std::cmp::Reverse(depth), d.0));
-        by_depth.dedup();
-        // One repair pass: contents bottom-up, then index entries bottom-up,
-        // with the same fixpoint early exits as the single-edit path.
-        for &(_, d) in &by_depth {
+        // The union of the dirty spines in pre-order; iterated in reverse,
+        // children come before parents.
+        let mut order = std::mem::take(&mut self.walk_order);
+        order.clear();
+        let root = self.term.root();
+        if marked(&self.term_mark, epoch, root.index()) {
+            self.walk_stack.push(root);
+        }
+        while let Some(n) = self.walk_stack.pop() {
+            order.push(n);
+            if let Some((l, r)) = self.term.children(n) {
+                for c in [l, r] {
+                    if marked(&self.term_mark, epoch, c.index()) {
+                        self.walk_stack.push(c);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(
+            order.len(),
+            (0..self.term_mark.len())
+                .filter(|&i| {
+                    self.term_mark[i] == epoch && self.term.is_live(TermNodeId(i as u32))
+                })
+                .count(),
+            "the repair walk must visit exactly the live marked term nodes"
+        );
+        // One repair pass: contents bottom-up, then index entries bottom-up.
+        for &d in order.iter().rev() {
             let (b, changed) = self.rebuild_box_for(d);
             if changed {
                 mark(&mut self.content_mark, epoch, b.index());
             }
         }
-        let root_box = self.box_of(self.term.root());
+        let root_box = self.box_of(root);
         self.circuit.set_root_force(root_box);
-        for &(_, d) in &by_depth {
+        // An entry is stale iff the box's own wires changed or a child's
+        // *entry* changed; a rebuilt-but-identical child entry stops the
+        // propagation (the entry is a function of the box's wires and the
+        // children's entries only).
+        for &d in order.iter().rev() {
             let b = self.box_of(d);
             let entry_stale = marked(&self.content_mark, epoch, b.index())
                 || self.circuit.children(b).is_some_and(|(l, r)| {
@@ -603,7 +514,8 @@ impl TreeEnumerator {
                 mark(&mut self.entry_mark, epoch, b.index());
             }
         }
-        self.index.record_batch(deduped, by_depth.len() as u64);
+        self.index.record_batch(deduped, order.len() as u64);
+        self.walk_order = order;
         // analyze: allow(alloc): the caller-facing O(k) result vector.
         batch.inserted().collect()
     }
@@ -798,6 +710,8 @@ mod tests {
         engine.check_consistency();
     }
 
+    /// Chunking invariance: one batch of 9 against 9 batches of one (which is
+    /// what sequential `apply` calls are).
     #[test]
     fn apply_batch_matches_sequential_apply() {
         let mut sigma = Alphabet::from_names(["a", "b", "c"]);

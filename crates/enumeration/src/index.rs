@@ -116,8 +116,9 @@ pub struct IndexStats {
     /// Number of `relation_to` queries that fell back to walking the box tree
     /// because the child's closure did not contain the target.
     pub relation_walk_fallbacks: u64,
-    /// Number of batch repair passes ([`EnumIndex::record_batch`] calls — one
-    /// per `TreeEnumerator::apply_batch`).
+    /// Number of repair passes ([`EnumIndex::record_batch`] calls — one per
+    /// non-empty `TreeEnumerator::apply_batch`, including each
+    /// `TreeEnumerator::apply`, which is a batch of one).
     pub batch_rebuilds: u64,
     /// Dirty-spine entries a batch repair skipped because an earlier edit of
     /// the same batch had already queued the node: edits landing in one

@@ -133,8 +133,8 @@
 //! the read path, and persists a snapshot at every
 //! [`DurabilityConfig::snapshot_every`]-th publication generation.
 //! [`TreeServer::recover`] rebuilds the server after a crash (newest intact
-//! snapshot + WAL-tail replay through one `apply_batch`); shards whose
-//! durable state is damaged beyond the torn-tail cases come back
+//! snapshot + WAL-tail replay onto its tree, engines built from the result);
+//! shards whose durable state is damaged beyond the torn-tail cases come back
 //! *quarantined* — serving reads, rejecting writes — with the reason in the
 //! returned [`RecoveryOutcome`].  See the `durable` module docs for the
 //! generation ↔ op-prefix contract.
@@ -606,10 +606,10 @@ impl TreeServer {
 
     /// Rebuilds a durable server from what `durability.dir` holds on disk:
     /// per shard, the newest intact snapshot plus a replay of the WAL tail
-    /// through [`TreeEnumerator::apply_batch`].  Shards whose durable state
-    /// is corrupt beyond recovery come back **quarantined** (read-only,
-    /// best-effort state, reason in the returned [`RecoveryOutcome`]) rather
-    /// than failing the whole server.
+    /// onto its tree, from which the shard's engines are built.  Shards
+    /// whose durable state is corrupt beyond recovery come back
+    /// **quarantined** (read-only, best-effort state, reason in the returned
+    /// [`RecoveryOutcome`]) rather than failing the whole server.
     ///
     /// Errors only on genuine I/O failure while reading, or when
     /// `durability.dir` holds no shard directories at all.
@@ -656,14 +656,8 @@ impl TreeServer {
             let dir = shard_dir(&durability.dir, id);
             let rec = recover_shard(&storage, &dir, id, durability)?;
             let quarantined = rec.report.quarantined.is_some();
-            // The durable state = snapshot + WAL tail through one batch
-            // repair (batch and sequential replay allocate identical
-            // `NodeId`s, so this matches the tree recovery validated).
-            let mut published = TreeEnumerator::with_plan(rec.base_tree, Arc::clone(&plan));
-            if !rec.replay.is_empty() {
-                published.apply_batch(&rec.replay);
-            }
-            let writable = TreeEnumerator::with_plan(published.tree().clone(), Arc::clone(&plan));
+            let published = TreeEnumerator::with_plan(rec.tree.clone(), Arc::clone(&plan));
+            let writable = TreeEnumerator::with_plan(rec.tree, Arc::clone(&plan));
             let heal = HealSource {
                 storage: Arc::clone(&storage),
                 dir,

@@ -1012,22 +1012,10 @@ impl ShardWriter {
             self.quarantine_now(&format!("{why}; heal found unrecoverable state: {reason}"));
             return;
         }
-        // Replay onto the primary engine, then fan the healed tree out to
-        // every other registered query (their engines are derived state —
-        // same tree, different circuit/index — so one replay suffices).
-        let (primary_id, primary_plan) = (self.plans[0].0, Arc::clone(&self.plans[0].1));
-        let mut primary = TreeEnumerator::with_plan(rec.base_tree, primary_plan);
-        if !rec.replay.is_empty() {
-            primary.apply_batch(&rec.replay);
-        }
-        let healed_tree = primary.tree().clone();
-        let mut healed: EngineSet = vec![(primary_id, primary)];
-        for (id, plan) in self.plans.iter().skip(1) {
-            healed.push((
-                *id,
-                TreeEnumerator::with_plan(healed_tree.clone(), Arc::clone(plan)),
-            ));
-        }
+        // Every registered query's engine is derived state over the
+        // recovered tree.
+        let healed_tree = rec.tree;
+        let healed = self.build_engines(&healed_tree);
         let durable_seq = rec.report.ops_recovered;
         let visible_seq = self.seq0 + self.applied_ops;
         // Ops of the in-flight buffer that reached the WAL before the fault

@@ -1,10 +1,11 @@
-//! Property tests guarding the batch update path (`TreeEnumerator::apply_batch`):
+//! Property tests guarding the update path (`TreeEnumerator::apply_batch`;
+//! `apply` is a batch of one):
 //!
-//! * batch-vs-sequential oracle identity — applying 200+-op streams in
-//!   batches of k ∈ {1, 2, 7, 64} must produce answer multisets, inserted
-//!   nodes, and a `check_consistency`-clean state identical to k sequential
-//!   `apply` calls, across the `balanced_mix`, `skewed` and `burst`
-//!   strategies and two query families;
+//! * chunking invariance — applying 200+-op streams in batches of
+//!   k ∈ {1, 2, 7, 64} must produce answer multisets, inserted nodes, and a
+//!   `check_consistency`-clean state identical to k batches of one
+//!   (sequential `apply` calls), across the `balanced_mix`, `skewed` and
+//!   `burst` strategies and two query families;
 //! * batches that insert and then delete the same node (net no-op batches)
 //!   leave the structure consistent and the answers unchanged;
 //! * burst delete-run batches that erase a whole subtree in one pass exercise
@@ -12,7 +13,9 @@
 //!   earlier in the same batch;
 //! * clustered (skewed) batches actually share spines: the batch dedup
 //!   counters (`IndexStats::spine_nodes_deduped` / `batch_rebuilds`) must
-//!   prove the shared ancestors were repaired once, not k times.
+//!   prove the shared ancestors were repaired once, not k times;
+//! * an insert flood through `apply` rebuilds only local pockets of the
+//!   term, never (nearly) the whole circuit for one edit.
 
 use treenum::automata::{queries, StepwiseTva};
 use treenum::core::TreeEnumerator;
@@ -37,8 +40,9 @@ fn query_families(sigma: &Alphabet) -> Vec<(&'static str, StepwiseTva)> {
     ]
 }
 
-/// Drives `total_ops`+ operations through both engines in batches of `k`,
-/// comparing answers after every batch and the full state at the end.
+/// Drives `total_ops`+ operations through one engine in batches of `k` and
+/// through another in batches of one, comparing answers after every batch
+/// and the full state at the end.
 fn batch_vs_sequential(
     make: fn(Vec<Label>, u64) -> EditStream,
     tag: &str,
@@ -238,6 +242,48 @@ fn clustered_batches_dedup_shared_spines() {
         stats.spine_nodes_deduped >= 6 * 32,
         "expected heavy spine sharing, got {} deduped nodes over 6 batches",
         stats.spine_nodes_deduped
+    );
+    engine.check_consistency();
+}
+
+/// A chained first-child insert flood below one leaf of a wide tree drives
+/// the term past its depth limit again and again.  Every rebalance must
+/// rebuild the flooded pocket, not the whole term: no single edit may
+/// rebuild more than a quarter of the circuit's boxes, and the whole flood
+/// must rebuild fewer boxes than the circuit holds.
+#[test]
+fn insert_flood_through_apply_rebuilds_only_local_pockets() {
+    let mut sigma = Alphabet::from_names(["a", "b"]);
+    let b = sigma.get("b").unwrap();
+    let query = queries::select_label(sigma.len(), b, Var(0));
+    let tree = random_tree(&mut sigma, 20_000, TreeShape::Wide, 7);
+    let leaves = tree.leaves();
+    let mut anchor = leaves[leaves.len() / 3];
+    let mut engine = TreeEnumerator::new(tree, &query, sigma.len());
+    let start = engine.index_stats().box_rebuilds;
+    // The circuit only grows during the flood, so its initial size is the
+    // strictest denominator (`stats()` walks the term; keep it out of the loop).
+    let boxes = engine.stats().circuit_boxes as u64;
+    let mut worst = 0u64;
+    for step in 0..1_000 {
+        let before = engine.index_stats().box_rebuilds;
+        anchor = engine
+            .apply(&EditOp::InsertFirstChild {
+                parent: anchor,
+                label: b,
+            })
+            .expect("an insertion returns its node");
+        let rebuilt = engine.index_stats().box_rebuilds - before;
+        assert!(
+            rebuilt <= boxes / 4,
+            "edit {step} rebuilt {rebuilt} of {boxes} boxes"
+        );
+        worst = worst.max(rebuilt);
+    }
+    let total = engine.index_stats().box_rebuilds - start;
+    assert!(
+        total < boxes,
+        "the flood rebuilt {total} boxes in all (worst edit {worst}), circuit has {boxes}"
     );
     engine.check_consistency();
 }

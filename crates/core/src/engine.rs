@@ -3,6 +3,7 @@
 use crate::plan::QueryPlan;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use treenum_automata::StepwiseTva;
 use treenum_balance::build::build_balanced_term;
@@ -53,6 +54,10 @@ pub struct TreeEnumerator {
     box_of: Vec<Option<BoxId>>,
     index: EnumIndex,
     mode: BoxEnumMode,
+    /// Names the current enumeration structure for resume trails: fresh
+    /// from [`fresh_stamp`] at build, after every non-empty batch and on a
+    /// mode switch, so no two structures ever share a stamp.
+    stamp: u64,
     /// Epoch-marked scratch bitmaps for `apply_batch` (a slot is "set" iff it
     /// holds the current epoch): O(spine) per batch instead of O(n) re-zeroing.
     scratch_epoch: u64,
@@ -85,6 +90,13 @@ const _: () = {
     assert_send_sync::<TreeEnumerator>();
     assert_send_sync::<QueryPlan>();
 };
+
+/// A process-wide unique structure stamp (see `TreeEnumerator::stamp`).
+/// `Relaxed`: the counter publishes no other data, only uniqueness matters.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Epoch bitmap helper: `marks[i] == epoch` means "set this edit".
 #[inline]
@@ -120,6 +132,7 @@ impl TreeEnumerator {
             box_of: Vec::new(),
             index: EnumIndex::default(),
             mode: BoxEnumMode::Indexed,
+            stamp: fresh_stamp(),
             scratch_epoch: 0,
             term_mark: Vec::new(),
             content_mark: Vec::new(),
@@ -194,6 +207,7 @@ impl TreeEnumerator {
     /// naive reference implementation (used by baselines and differential tests).
     pub fn set_box_enum_mode(&mut self, mode: BoxEnumMode) {
         self.mode = mode;
+        self.stamp = fresh_stamp();
     }
 
     /// A read-only view of the current tree.
@@ -302,15 +316,7 @@ impl TreeEnumerator {
     /// allocation-free inside the per-answer loop; if the sink re-enters the
     /// same engine, the nested enumeration runs on a throwaway scratch.
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => self.for_each_with(&mut scratch, sink),
-            // Poisoned: a previous sink panicked mid-enumeration.  The pools
-            // only hold owned buffers, so they are structurally sound —
-            // recover the scratch rather than degrading to throwaway
-            // allocations forever.
-            Err(TryLockError::Poisoned(p)) => self.for_each_with(&mut p.into_inner(), sink),
-            Err(TryLockError::WouldBlock) => self.for_each_with(&mut EnumScratch::new(), sink),
-        }
+        self.for_each_from(0, sink)
     }
 
     /// [`TreeEnumerator::for_each`] with a caller-provided [`EnumScratch`].
@@ -325,12 +331,62 @@ impl TreeEnumerator {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
+        self.for_each_from_with(scratch, 0, sink)
+    }
+
+    /// [`TreeEnumerator::for_each_from_with`] on the engine's pooled scratch
+    /// (with [`TreeEnumerator::for_each`]'s fallbacks).
+    pub fn for_each_from(
+        &self,
+        position: usize,
+        sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
+    ) {
+        match self.scratch.try_lock() {
+            Ok(mut scratch) => self.for_each_from_with(&mut scratch, position, sink),
+            // Poisoned: a previous sink panicked mid-enumeration.  The pools
+            // only hold owned buffers, so they are structurally sound —
+            // recover the scratch rather than degrading to throwaway
+            // allocations forever.
+            Err(TryLockError::Poisoned(p)) => {
+                self.for_each_from_with(&mut p.into_inner(), position, sink)
+            }
+            Err(TryLockError::WouldBlock) => {
+                self.for_each_from_with(&mut EnumScratch::new(), position, sink)
+            }
+        }
+    }
+
+    /// Enumerates the satisfying assignments from the `position`-th on (in
+    /// the deterministic enumeration order), invoking `sink` once per
+    /// answer.
+    ///
+    /// Every run the sink stops with [`ControlFlow::Break`] leaves a resume
+    /// trail in `scratch`, named by this structure's stamp and the index of
+    /// the refused answer.  When `scratch` holds the trail for `position`,
+    /// the run resumes there: the refused answer comes first, after
+    /// re-entering one root-to-leaf path of frames, so paging through the
+    /// answers costs `O(resume + k)` per page.  Otherwise the first
+    /// `position` answers are enumerated and dropped
+    /// ([`EnumStats::answers_skipped`]) — correct, but `O(position)`.
+    pub fn for_each_from_with(
+        &self,
+        scratch: &mut EnumScratch,
+        position: usize,
+        sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
+    ) {
         let (root_box, gates, empty) = self.root_query();
         let index = match self.mode {
             BoxEnumMode::Indexed => Some(&self.index),
             BoxEnumMode::Reference => None,
         };
-        let _ = enumerate_root_with(
+        // The index of the next answer the enumeration emits.
+        let mut next = if scratch.resume_at((self.stamp, position as u64)) {
+            position
+        } else {
+            0
+        };
+        let mut skipped = 0u64;
+        let flow = enumerate_root_with(
             scratch,
             &self.circuit,
             index,
@@ -339,13 +395,26 @@ impl TreeEnumerator {
             &gates,
             empty,
             &mut |parts| {
+                if next < position {
+                    next += 1;
+                    skipped += 1;
+                    return ControlFlow::Continue(());
+                }
                 let assignment =
                     Assignment::from_singletons(parts.iter().flat_map(|&(vars, token)| {
                         vars.iter().map(move |v| Singleton::new(v, NodeId(token)))
                     }));
-                sink(assignment)
+                let flow = sink(assignment);
+                if flow.is_continue() {
+                    next += 1;
+                }
+                flow
             },
         );
+        scratch.count_skipped(skipped);
+        if flow.is_break() {
+            scratch.save_trail((self.stamp, next as u64));
+        }
     }
 
     /// Collects all satisfying assignments (convenience wrapper around
@@ -434,6 +503,7 @@ impl TreeEnumerator {
             return Vec::new();
         }
         let batch = apply_edits(&mut self.tree, &mut self.term, &mut self.phi, ops);
+        self.stamp = fresh_stamp();
         self.scratch_epoch += 1;
         let epoch = self.scratch_epoch;
         let mut deduped = 0u64;

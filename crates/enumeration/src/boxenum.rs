@@ -23,6 +23,10 @@
 //! Both sinks receive the scratch back on every emission — the recursion is
 //! re-entrant (`enum-s` recurses into `box-enum` from inside the sink), so the
 //! scratch is threaded through rather than borrowed across calls.
+//!
+//! The pooled walks are resumable (see [`crate::dedup`]): a `Break` records
+//! which step of each frame it unwound through, and an armed scratch makes
+//! the next run re-enter at those steps.
 
 use crate::bitset::GateSet;
 use crate::index::EnumIndex;
@@ -130,16 +134,22 @@ pub fn box_enum_reference_pooled(
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
+    scratch.begin_run();
     let w = circuit.box_width(b);
     let mut r0 = scratch.take_relation(w, w);
     for g in gamma.iter() {
         r0.set(g, g);
     }
-    let flow = walk_reference_pooled(circuit, scratch, b, &r0, sink);
+    let flow = if r0.is_empty() {
+        ControlFlow::Continue(())
+    } else {
+        walk_reference_pooled(circuit, scratch, b, &r0, sink)
+    };
     scratch.put_relation(r0);
     flow
 }
 
+/// Frame index: 0 at `b` itself, 1 in the left subtree, 2 in the right.
 fn walk_reference_pooled(
     circuit: &Circuit,
     scratch: &mut EnumScratch,
@@ -147,30 +157,31 @@ fn walk_reference_pooled(
     r: &Relation,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
-    if r.is_empty() {
-        return ControlFlow::Continue(());
-    }
-    if is_interesting_rel(circuit, b, r) {
-        sink(scratch, b, r)?;
-    }
-    let Some((l, rt)) = circuit.children(b) else {
-        return ControlFlow::Continue(());
-    };
-    let w = circuit.box_width(b);
+    let start = scratch.enter_frame();
     let mut flow = ControlFlow::Continue(());
-    for (side, child) in [(Side::Left, l), (Side::Right, rt)] {
-        let mut step = scratch.take_relation(circuit.box_width(child), w);
-        child_relation_into(circuit, b, side, &mut step);
-        let mut rc = scratch.take_relation(step.rows(), r.cols());
-        step.compose_into(r, &mut rc);
-        scratch.put_relation(step);
-        if !rc.is_empty() {
-            flow = walk_reference_pooled(circuit, scratch, child, &rc, sink);
-        }
-        scratch.put_relation(rc);
-        flow?;
+    let mut at = 0;
+    if start == 0 && is_interesting_rel(circuit, b, r) {
+        flow = sink(scratch, b, r);
     }
-    flow
+    if let Some((l, rt)) = circuit.children(b) {
+        let w = circuit.box_width(b);
+        for (i, side, child) in [(1, Side::Left, l), (2, Side::Right, rt)] {
+            if i < start || flow.is_break() {
+                continue;
+            }
+            at = i;
+            let mut step = scratch.take_relation(circuit.box_width(child), w);
+            child_relation_into(circuit, b, side, &mut step);
+            let mut rc = scratch.take_relation(step.rows(), r.cols());
+            step.compose_into(r, &mut rc);
+            scratch.put_relation(step);
+            if !rc.is_empty() {
+                flow = walk_reference_pooled(circuit, scratch, child, &rc, sink);
+            }
+            scratch.put_relation(rc);
+        }
+    }
+    scratch.leave_frame(flow, at)
 }
 
 /// Algorithm 3: jump to the first interesting box with `fib`, cover its subtree, then
@@ -184,6 +195,7 @@ pub fn box_enum_indexed(
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
+    scratch.begin_run();
     if gamma.is_empty() {
         return ControlFlow::Continue(());
     }
@@ -197,6 +209,9 @@ pub fn box_enum_indexed(
     flow
 }
 
+/// Frame index (the step a `Break` unwound through): 0 at the first
+/// interesting box `b1`, 1 in its left subtree, 2 in its right subtree,
+/// `3 + j` in the off-path subtree of the `j`-th box on the path to `b1`.
 // hot-path: the per-answer B-ENUM recursion; every relation it touches must
 // come from (and return to) the `EnumScratch` pools, never the allocator.
 fn b_enum(
@@ -208,42 +223,44 @@ fn b_enum(
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
     debug_assert!(!r.is_empty(), "b-enum called with an empty relation");
+    let start = scratch.enter_frame();
     let bi = index.of(b);
     // Line 4–6: jump to the first interesting box and output its relation.
     let b1_slot = bi
         .fib_of_set((0..r.rows()).filter(|&i| !r.row_is_empty(i)))
         .expect("every ∪-gate reaches an interesting box");
     let b1 = bi.closure[b1_slot as usize];
-    let rel1 = &bi.rel[b1_slot as usize];
-    let mut r1 = scratch.take_relation(rel1.rows(), r.cols());
-    rel1.compose_into(r, &mut r1);
-    let mut flow = sink(scratch, b1, &r1);
-    // Lines 7–10: recurse into both subtrees of the first interesting box.
-    if flow.is_continue() {
-        if let Some((bl, br)) = circuit.children(b1) {
-            let (cl, cr) = index
-                .of(b1)
-                .child_rels()
-                .expect("internal box stores child relations");
-            let mut rl = scratch.take_relation(cl.rows(), r1.cols());
-            cl.compose_into(&r1, &mut rl);
-            if !rl.is_empty() {
-                flow = b_enum(circuit, index, scratch, bl, &rl, sink);
-            }
-            scratch.put_relation(rl);
-            if flow.is_continue() {
-                let mut rr = scratch.take_relation(cr.rows(), r1.cols());
-                cr.compose_into(&r1, &mut rr);
-                if !rr.is_empty() {
-                    flow = b_enum(circuit, index, scratch, br, &rr, sink);
+    let mut flow = ControlFlow::Continue(());
+    let mut at = 0;
+    if start <= 2 {
+        let rel1 = &bi.rel[b1_slot as usize];
+        let mut r1 = scratch.take_relation(rel1.rows(), r.cols());
+        rel1.compose_into(r, &mut r1);
+        if start == 0 {
+            flow = sink(scratch, b1, &r1);
+        }
+        // Lines 7–10: recurse into both subtrees of the first interesting box.
+        if flow.is_continue() {
+            if let Some((bl, br)) = circuit.children(b1) {
+                let (cl, cr) = index
+                    .of(b1)
+                    .child_rels()
+                    .expect("internal box stores child relations");
+                for (i, child, step) in [(1, bl, cl), (2, br, cr)] {
+                    if i < start || flow.is_break() {
+                        continue;
+                    }
+                    at = i;
+                    let mut rc = scratch.take_relation(step.rows(), r1.cols());
+                    step.compose_into(&r1, &mut rc);
+                    if !rc.is_empty() {
+                        flow = b_enum(circuit, index, scratch, child, &rc, sink);
+                    }
+                    scratch.put_relation(rc);
                 }
-                scratch.put_relation(rr);
             }
         }
-    }
-    scratch.put_relation(r1);
-    if flow.is_break() || b == b1 {
-        return flow;
+        scratch.put_relation(r1);
     }
     // Lines 11–17 of Algorithm 3 jump between the *bidirectional* boxes on the path
     // from `b` to `b1` and recurse into their off-path subtrees.  We implement the
@@ -252,43 +269,48 @@ fn b_enum(
     // is to recurse into the off-path side wherever the ∪-reachable wavefront
     // branches away from the path.  The walk costs `O(w²/64)` per path box (the
     // child steps come precomposed from the index); with the balanced terms of
-    // Section 7 the path has length `O(log n)`.
-    let mut current_box = b;
-    let mut cur = scratch.take_relation(r.rows(), r.cols());
-    cur.copy_from(r);
-    while current_box != b1 && flow.is_continue() {
-        if cur.is_empty() {
-            break;
+    // Section 7 the path has length `O(log n)`.  A resumed walk replays the
+    // path steps before its recorded one without recursing.
+    if flow.is_continue() && b != b1 {
+        let mut current_box = b;
+        let mut cur = scratch.take_relation(r.rows(), r.cols());
+        cur.copy_from(r);
+        let mut i = 3;
+        while current_box != b1 && !cur.is_empty() {
+            let (bl, br) = circuit
+                .children(current_box)
+                .expect("a strict ancestor of the first interesting box is internal");
+            let (cl, cr) = index
+                .of(current_box)
+                .child_rels()
+                .expect("internal box stores child relations");
+            let towards_left = circuit.is_ancestor(bl, b1);
+            let (path_child, path_step, off_child, off_step) = if towards_left {
+                (bl, cl, br, cr)
+            } else {
+                (br, cr, bl, cl)
+            };
+            if i >= start {
+                at = i;
+                let mut off = scratch.take_relation(off_step.rows(), cur.cols());
+                off_step.compose_into(&cur, &mut off);
+                if !off.is_empty() {
+                    flow = b_enum(circuit, index, scratch, off_child, &off, sink);
+                }
+                scratch.put_relation(off);
+                if flow.is_break() {
+                    break;
+                }
+            }
+            let mut next = scratch.take_relation(path_step.rows(), cur.cols());
+            path_step.compose_into(&cur, &mut next);
+            scratch.put_relation(std::mem::replace(&mut cur, next));
+            current_box = path_child;
+            i += 1;
         }
-        let (bl, br) = circuit
-            .children(current_box)
-            .expect("a strict ancestor of the first interesting box is internal");
-        let (cl, cr) = index
-            .of(current_box)
-            .child_rels()
-            .expect("internal box stores child relations");
-        let towards_left = circuit.is_ancestor(bl, b1);
-        let (path_child, path_step, off_child, off_step) = if towards_left {
-            (bl, cl, br, cr)
-        } else {
-            (br, cr, bl, cl)
-        };
-        let mut off = scratch.take_relation(off_step.rows(), cur.cols());
-        off_step.compose_into(&cur, &mut off);
-        if !off.is_empty() {
-            flow = b_enum(circuit, index, scratch, off_child, &off, sink);
-        }
-        scratch.put_relation(off);
-        if flow.is_break() {
-            break;
-        }
-        let mut next = scratch.take_relation(path_step.rows(), cur.cols());
-        path_step.compose_into(&cur, &mut next);
-        scratch.put_relation(std::mem::replace(&mut cur, next));
-        current_box = path_child;
+        scratch.put_relation(cur);
     }
-    scratch.put_relation(cur);
-    flow
+    scratch.leave_frame(flow, at)
 }
 
 /// Runs either implementation depending on `mode` (the index may be `None` only in

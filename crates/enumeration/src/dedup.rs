@@ -17,6 +17,16 @@
 //! pushed while the right factors enumerate below them — so no assignment
 //! vector is cloned per answer.  Use the `*_with` entry points to reuse a
 //! scratch across enumerations; the plain entry points create a throwaway one.
+//!
+//! Runs are resumable.  When the sink returns [`ControlFlow::Break`], every
+//! resumable loop the `Break` unwinds through records its current index in
+//! the scratch's trail (innermost first): the root records whether the empty
+//! answer was emitted, `emit_box` which var part or the ×-phase, and
+//! `box-enum` which of its steps (see [`crate::boxenum`]).  After
+//! [`EnumScratch::resume_at`] arms the trail, the next run re-enters those
+//! frames outermost first — each rebuilds its deterministic local state
+//! (parts, triples, relations) and continues from its recorded index — so
+//! it re-emits the refused answer and goes on from there.
 
 use crate::bitset::GateSet;
 use crate::boxenum::{box_enum, BoxEnumMode};
@@ -76,6 +86,7 @@ pub fn enumerate_boxed_set_with(
     gamma: &GateSet,
     sink: &mut AssignmentSink<'_>,
 ) -> ControlFlow<()> {
+    scratch.begin_run();
     let ctx = Ctx {
         circuit,
         index,
@@ -125,7 +136,8 @@ pub fn enumerate_root(
 }
 
 /// [`enumerate_root`] with a caller-provided scratch (the allocation-free
-/// steady-state entry point).
+/// steady-state entry point).  Resumes from the scratch's trail when
+/// [`EnumScratch::resume_at`] armed it (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate_root_with(
     scratch: &mut EnumScratch,
@@ -137,29 +149,34 @@ pub fn enumerate_root_with(
     empty_accepted: bool,
     sink: &mut dyn FnMut(&OutputAssignment) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    if empty_accepted {
+    scratch.begin_run();
+    // Frame index: 0 at the empty answer, 1 in the boxed set.
+    let start = scratch.enter_frame();
+    let mut flow = ControlFlow::Continue(());
+    let mut at = 0;
+    if empty_accepted && start == 0 {
         static EMPTY: Vec<(VarSet, u32)> = Vec::new();
         scratch.count_answer();
-        sink(&EMPTY)?;
+        flow = sink(&EMPTY);
     }
-    if root_gates.is_empty() {
-        return ControlFlow::Continue(());
+    if flow.is_continue() && !root_gates.is_empty() {
+        at = 1;
+        let mut gamma = scratch.take_gate_set(circuit.box_width(root_box));
+        for &g in root_gates {
+            gamma.insert(g as usize);
+        }
+        flow = enumerate_boxed_set_with(
+            scratch,
+            circuit,
+            index,
+            mode,
+            root_box,
+            &gamma,
+            &mut |s, _prov| sink(s),
+        );
+        scratch.put_gate_set(gamma);
     }
-    let mut gamma = scratch.take_gate_set(circuit.box_width(root_box));
-    for &g in root_gates {
-        gamma.insert(g as usize);
-    }
-    let flow = enumerate_boxed_set_with(
-        scratch,
-        circuit,
-        index,
-        mode,
-        root_box,
-        &gamma,
-        &mut |s, _prov| sink(s),
-    );
-    scratch.put_gate_set(gamma);
-    flow
+    scratch.leave_frame(flow, at)
 }
 
 /// Convenience wrapper collecting all assignments into a vector (tests, baselines,
@@ -216,6 +233,9 @@ fn enum_s(
 /// groups (Algorithm 2 lines 5–7), then recurses through the ×-gates
 /// (lines 8–16).  `r` relates the ∪-gates of `bprime` (rows) to the gates of
 /// `gamma`'s box (columns); only columns in `gamma` are populated.
+///
+/// Frame index: `i < parts.len()` is var part `i`, `parts.len()` the
+/// ×-phase.
 fn emit_box(
     ctx: &Ctx<'_>,
     scratch: &mut EnumScratch,
@@ -224,6 +244,7 @@ fn emit_box(
     r: &Relation,
     sink: &mut InnerSink<'_>,
 ) -> ControlFlow<()> {
+    let start = scratch.enter_frame();
     let width_prime = ctx.circuit.box_width(bprime);
     let gates = ctx.circuit.union_gates(bprime);
 
@@ -270,14 +291,17 @@ fn emit_box(
     // reuses the grouping table.
     let mut parts = scratch.take_parts();
     scratch.drain_groups_into(r, &mut parts);
+    debug_assert!(start <= parts.len(), "resume index past the ×-phase");
     let mut flow = ControlFlow::Continue(());
-    for part in &parts {
+    let mut at = start;
+    for part in &parts[start..] {
         asg.push((part.vars, part.token));
         flow = sink(scratch, asg, &part.prov);
         asg.pop();
         if flow.is_break() {
             break;
         }
+        at += 1;
     }
     scratch.put_parts(parts);
 
@@ -350,7 +374,7 @@ fn emit_box(
         scratch.put_gate_set(gamma_left);
     }
     scratch.put_triples(triples);
-    flow
+    scratch.leave_frame(flow, at)
 }
 
 #[cfg(test)]
@@ -642,6 +666,87 @@ mod tests {
             );
         }
         assert!(tested >= 2, "too few random instances were exercised");
+    }
+
+    #[test]
+    fn resumed_runs_continue_where_the_break_stopped() {
+        let seeds = treenum_trees::generate::oracle_scale(40, 24) as u64;
+        let mut tested = 0;
+        for seed in 0..seeds {
+            let tva = random_tva(2, 2 + (seed % 2) as usize, 1 + (seed % 2) as usize, seed);
+            let tree = random_binary_tree(7 + (seed % 3) as usize, 2, seed + 1000);
+            let ac = build_assignment_circuit(&tva, &tree);
+            let index = EnumIndex::build(&ac.circuit);
+            let root = ac.circuit.root();
+            let width = ac.circuit.box_width(root);
+            if width == 0
+                || answer_count_exceeds(&ac.circuit, &index, root, &GateSet::full(width), 2_000)
+            {
+                continue;
+            }
+            // Both root shapes: the empty answer first (the root frame
+            // resumes past it) or not, whatever the automaton accepts.
+            let (gates, _) = ac.root_query(&tva, &tree);
+            for (mode, empty) in [
+                (BoxEnumMode::Reference, false),
+                (BoxEnumMode::Indexed, false),
+                (BoxEnumMode::Indexed, true),
+            ] {
+                let all = collect_all(&ac.circuit, Some(&index), mode, root, &gates, empty);
+                if all.len() < 3 {
+                    continue;
+                }
+                tested += 1;
+                let mut scratch = EnumScratch::new();
+                // Runs of `k` answers each, every run stopping on (and the
+                // next re-emitting) the answer after its last.
+                let run = |scratch: &mut EnumScratch, out: &mut Vec<OutputAssignment>, k| {
+                    let mut n = 0;
+                    enumerate_root_with(
+                        scratch,
+                        &ac.circuit,
+                        Some(&index),
+                        mode,
+                        root,
+                        &gates,
+                        empty,
+                        &mut |s| {
+                            if n == k {
+                                return ControlFlow::Break(());
+                            }
+                            n += 1;
+                            out.push(s.clone());
+                            ControlFlow::Continue(())
+                        },
+                    )
+                };
+                for k in [1, 2, 5] {
+                    let mut got = Vec::new();
+                    let mut key = (seed, 0);
+                    scratch.resume_at(key);
+                    while run(&mut scratch, &mut got, k).is_break() {
+                        assert!(
+                            got.len() < all.len(),
+                            "seed {seed} {mode:?}: runaway resume"
+                        );
+                        key.1 = got.len() as u64;
+                        scratch.save_trail(key);
+                        assert!(scratch.resume_at(key), "seed {seed} {mode:?}: trail kept");
+                    }
+                    assert_eq!(got, all, "seed {seed} {mode:?} k={k}: resumed runs");
+                }
+                // A trail saved under another key is dropped: the next run
+                // starts over.
+                let mut head = Vec::new();
+                assert!(run(&mut scratch, &mut head, 2).is_break());
+                scratch.save_trail((seed, 2));
+                assert!(!scratch.resume_at((seed + 1, 2)), "a different key misses");
+                let mut again = Vec::new();
+                let _ = run(&mut scratch, &mut again, usize::MAX);
+                assert_eq!(again, all, "seed {seed} {mode:?}: a missed trail restarts");
+            }
+        }
+        assert!(tested >= 6, "too few random instances were exercised");
     }
 
     #[test]

@@ -18,16 +18,13 @@
 //!   (Theorem 5.3), callback-driven for tight delay measurement.
 //! * [`scratch`]: the reusable per-answer scratch state ([`EnumScratch`]) that
 //!   makes the steady-state enumeration loop allocation-free, with the
-//!   [`EnumStats`] counters that guard the discipline.
-//! * [`iter`]: an `Iterator` adapter backed by a bounded channel on a worker thread,
-//!   mirroring the paper's "run the recursive enumeration in another thread"
-//!   presentation.
+//!   [`EnumStats`] counters that guard the discipline, and the resume trail
+//!   that lets a run stopped by its sink go on where it stopped.
 
 pub mod bitset;
 pub mod boxenum;
 pub mod dedup;
 pub mod index;
-pub mod iter;
 pub mod relation;
 pub mod scratch;
 pub mod simple;
@@ -38,6 +35,5 @@ pub use dedup::{
     OutputAssignment,
 };
 pub use index::EnumIndex;
-pub use iter::AssignmentIter;
 pub use relation::Relation;
-pub use scratch::{EnumScratch, EnumStats};
+pub use scratch::{EnumScratch, EnumStats, TrailKey};

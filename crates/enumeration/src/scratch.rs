@@ -17,6 +17,11 @@
 //!   clearing);
 //! * the shared assignment stack: answers are emitted as the stack contents,
 //!   so no assignment vector is cloned per answer;
+//! * the resume trail: the index of every resumable loop a
+//!   [`ControlFlow::Break`] unwound through,
+//!   so that the next run can re-enter the same frames and go on from the
+//!   answer the sink refused instead of enumerating from the start (see
+//!   [`EnumScratch::resume_at`]);
 //! * the [`EnumStats`] counters that make the discipline observable —
 //!   `tests/delay_invariants.rs` asserts they stay flat across steady-state
 //!   enumerations, exactly like `IndexStats::child_index_clones` guards the
@@ -24,6 +29,7 @@
 
 use crate::bitset::GateSet;
 use crate::relation::Relation;
+use std::ops::ControlFlow;
 use treenum_trees::valuation::VarSet;
 
 /// Allocation counters of the enumeration hot path (see [`EnumScratch`]).
@@ -36,7 +42,14 @@ use treenum_trees::valuation::VarSet;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnumStats {
     /// Answers emitted through this scratch (top-level `enum-s` emissions).
+    /// A resumed run emits the answer the previous run's sink refused a
+    /// second time, so draining `N` answers in `p` resumed pages counts
+    /// `N + p − 1`.
     pub answers: u64,
+    /// Answers enumerated only to reach a start position, because the
+    /// scratch held no trail for it (see [`EnumScratch::resume_at`]): zero
+    /// when every page resumed.
+    pub answers_skipped: u64,
     /// Heap allocations performed inside the enumeration loop: pool misses,
     /// pooled-buffer growth, and grouping-table growth.  Zero on the
     /// steady-state path.
@@ -127,8 +140,27 @@ pub struct EnumScratch {
     max_rel_words: usize,
     max_triples: usize,
     max_parts: usize,
+    /// The resume trail: one start index per resumable loop, innermost
+    /// first, pushed as a `Break` unwinds.  A resumed run pops it from the
+    /// end (outermost first) while re-entering the same frames.
+    trail: Vec<u32>,
+    /// The caller's name for the point `trail` stops at: set by
+    /// [`EnumScratch::save_trail`] after a run, taken by
+    /// [`EnumScratch::resume_at`], dropped when a run starts.
+    trail_key: Option<TrailKey>,
+    /// Set by a [`EnumScratch::resume_at`] hit: the next run pops `trail`
+    /// instead of starting afresh.
+    armed: bool,
+    /// Resumable frames currently entered.  A `Break` records one index
+    /// per entered frame, so entering a frame keeps the trail's capacity at
+    /// least `depth`: full runs size it, and a warm `Break` never grows it.
+    depth: usize,
     stats: EnumStats,
 }
+
+/// A caller-chosen name for the answer a trail stops at: the enumerated
+/// structure's stamp and the answer's index in enumeration order.
+pub type TrailKey = (u64, u64);
 
 impl EnumScratch {
     /// A fresh scratch with empty pools.
@@ -155,6 +187,81 @@ impl EnumScratch {
     #[inline]
     pub(crate) fn count_answer(&mut self) {
         self.stats.answers += 1;
+    }
+
+    /// Counts `n` answers enumerated only to reach a start position.
+    pub fn count_skipped(&mut self, n: u64) {
+        self.stats.answers_skipped += n;
+    }
+
+    /// Names the trail the last run's `Break` left, so a later
+    /// [`EnumScratch::resume_at`] with the same key resumes from it.  The
+    /// caller guarantees the key determines the trail: same structure, and
+    /// `key.1` the index of the answer the sink refused.  A run that ended
+    /// without a `Break` left no trail, and nothing is named.
+    pub fn save_trail(&mut self, key: TrailKey) {
+        if !self.trail.is_empty() {
+            self.trail_key = Some(key);
+        }
+    }
+
+    /// Arms the next run to resume from the saved trail if it was saved
+    /// under `key`; drops the trail otherwise.  Returns whether the next run
+    /// resumes.  A resumed run first re-emits the answer the trail's `Break`
+    /// refused, having replayed one root-to-leaf path of frame set-ups —
+    /// about the cost of reaching a first answer.
+    pub fn resume_at(&mut self, key: TrailKey) -> bool {
+        self.armed = self.trail_key.take() == Some(key) && !self.trail.is_empty();
+        if !self.armed {
+            self.trail.clear();
+        }
+        self.armed
+    }
+
+    /// Starts a run at a public entry point: a stale trail is dropped
+    /// unless [`EnumScratch::resume_at`] armed it.  Nested entries inside a
+    /// run find the trail empty (a run only pushes while unwinding) or
+    /// still being resumed, so this is a no-op for them.
+    pub(crate) fn begin_run(&mut self) {
+        if !self.armed {
+            self.trail.clear();
+            self.trail_key = None;
+        }
+    }
+
+    /// Enters a resumable frame and returns its start index: popped from
+    /// the trail (outermost first) while a resume is in progress, `0`
+    /// otherwise.
+    #[inline]
+    pub(crate) fn enter_frame(&mut self) -> usize {
+        self.depth += 1;
+        if self.trail.capacity() < self.depth {
+            self.stats.per_answer_allocs += 1;
+            self.trail
+                .reserve(self.depth.saturating_sub(self.trail.len()));
+        }
+        if !self.armed {
+            return 0;
+        }
+        let i = self
+            .trail
+            .pop()
+            .expect("an armed trail covers every resumed frame");
+        self.armed = !self.trail.is_empty();
+        i as usize
+    }
+
+    /// Leaves a resumable frame; a `Break` records the frame's current
+    /// index `at` as it unwinds (innermost first).
+    #[inline]
+    pub(crate) fn leave_frame(&mut self, flow: ControlFlow<()>, at: usize) -> ControlFlow<()> {
+        self.depth -= 1;
+        if flow.is_break() {
+            debug_assert!(!self.armed, "a Break cannot happen mid-resume");
+            Self::reserve_one(&mut self.trail, &mut self.stats);
+            self.trail.push(at as u32);
+        }
+        flow
     }
 
     /// Reserves room for one more element, counting a reallocation.

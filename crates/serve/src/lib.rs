@@ -655,7 +655,7 @@ impl TreeServer {
         for id in ids {
             let dir = shard_dir(&durability.dir, id);
             let rec = recover_shard(&storage, &dir, id, durability)?;
-            let quarantined = rec.report.quarantined.is_some();
+            let quarantined = rec.report.quarantined.clone();
             let published = TreeEnumerator::with_plan(rec.tree.clone(), Arc::clone(&plan));
             let writable = TreeEnumerator::with_plan(rec.tree, Arc::clone(&plan));
             let heal = HealSource {
@@ -702,7 +702,7 @@ impl TreeServer {
         let published = TreeEnumerator::with_plan(tree.clone(), Arc::clone(plan));
         let writable = TreeEnumerator::with_plan(tree, Arc::clone(plan));
         Self::spawn_shard_recovered(
-            published, writable, plan, cfg, durable, heal, chaos, 0, false,
+            published, writable, plan, cfg, durable, heal, chaos, 0, None,
         )
     }
 
@@ -716,7 +716,7 @@ impl TreeServer {
         heal: Option<HealSource>,
         chaos: Option<Arc<ChaosSchedule>>,
         seq0: u64,
-        quarantined: bool,
+        quarantined: Option<String>,
     ) -> ShardHandle {
         let front = Arc::new(RwLock::new(Arc::new(SnapInner {
             engines: vec![(QueryId::PRIMARY, published)],
@@ -727,9 +727,8 @@ impl TreeServer {
             .window
             .store(cfg.initial_batch as u64, Ordering::Relaxed);
         metrics.queries_served.store(1, Ordering::Relaxed);
-        if quarantined {
-            metrics.quarantined.store(true, Ordering::Release);
-            metrics.set_health(ShardHealth::Quarantined);
+        if let Some(reason) = &quarantined {
+            metrics.quarantine(reason);
         }
         let (tx, rx) = bounded(cfg.queue_capacity);
         let writer = ShardWriter {
@@ -745,7 +744,7 @@ impl TreeServer {
             window: cfg.initial_batch,
             buf: Vec::new(),
             durable,
-            quarantined,
+            quarantined: quarantined.is_some(),
             heal,
             chaos,
             seq0,
@@ -1045,6 +1044,14 @@ impl TreeServer {
     /// Current counters of one shard.
     pub fn shard_stats(&self, shard: usize) -> ShardStats {
         self.shards[shard].metrics.stats()
+    }
+
+    /// Why `shard` is quarantined, or `None` while it is not.  Quarantine
+    /// is terminal, so the reason is the first failure's: a recovery that
+    /// found the durable state corrupt, or a failed heal after a WAL or
+    /// apply failure at runtime.
+    pub fn quarantine_reason(&self, shard: usize) -> Option<String> {
+        self.shards[shard].metrics.quarantine_reason.get().cloned()
     }
 
     /// Current counters of every shard, plus the registry's admission side.

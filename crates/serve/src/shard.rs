@@ -270,15 +270,9 @@ impl QueryReader<'_> {
 
     /// One page of up to `k` assignments starting at `cursor` (`None` for
     /// the first page), using the engine's pooled scratch.  See
-    /// [`QueryReader::page_with`] for the cursor contract.
+    /// [`QueryReader::page_with`] for the cursor contract and cost.
     pub fn page(&self, cursor: Option<PageCursor>, k: usize) -> Result<Page, ServeError> {
-        let position = self.cursor_position(cursor)?;
-        let mut answers = Vec::new();
-        let mut more = false;
-        let mut seen = 0usize;
-        self.engine
-            .for_each(&mut |a| Self::page_step(&mut seen, position, k, &mut answers, &mut more, a));
-        Ok(self.page_from(position, answers, more))
+        self.page_on(None, cursor, k)
     }
 
     /// [`QueryReader::page`] with a caller-owned [`EnumScratch`].
@@ -289,61 +283,59 @@ impl QueryReader<'_> {
     /// generation resumes exactly where the previous page stopped, no matter
     /// how many flushes the shard published in between.  A cursor presented
     /// at any other generation fails with [`ServeError::StaleCursor`]
-    /// (positions are not comparable across structure changes).  Skipping to
-    /// the cursor costs `O(position)` answers of enumeration plus `O(k)` for
-    /// the page, per the paper's linear-delay regime.
+    /// (positions are not comparable across structure changes).
+    ///
+    /// Cost: the page that produced the cursor left a resume trail in the
+    /// scratch (see [`TreeEnumerator::for_each_from_with`]).  On a scratch
+    /// hit — the same scratch, the same query, no other page in between —
+    /// the next page costs `O(resume + k)`: one root-to-leaf path of frame
+    /// set-ups, then `k` answers at the paper's delay.  On a miss it skips
+    /// to the cursor in `O(position)` answers of enumeration, so a reader
+    /// draining several queries interleaved should keep one scratch per
+    /// query.
     pub fn page_with(
         &self,
         scratch: &mut EnumScratch,
         cursor: Option<PageCursor>,
         k: usize,
     ) -> Result<Page, ServeError> {
-        let position = self.cursor_position(cursor)?;
+        self.page_on(Some(scratch), cursor, k)
+    }
+
+    /// The one paging path: up to `k` answers from the cursor's position,
+    /// stopping on the `(k+1)`-th (whose trail the next page resumes).
+    fn page_on(
+        &self,
+        scratch: Option<&mut EnumScratch>,
+        cursor: Option<PageCursor>,
+        k: usize,
+    ) -> Result<Page, ServeError> {
+        let position = match cursor {
+            Some(c) if c.generation != self.generation => return Err(ServeError::StaleCursor),
+            Some(c) => c.position,
+            None => 0,
+        };
         let mut answers = Vec::new();
         let mut more = false;
-        let mut seen = 0usize;
-        self.engine.for_each_with(scratch, &mut |a| {
-            Self::page_step(&mut seen, position, k, &mut answers, &mut more, a)
-        });
-        Ok(self.page_from(position, answers, more))
-    }
-
-    fn cursor_position(&self, cursor: Option<PageCursor>) -> Result<usize, ServeError> {
-        match cursor {
-            Some(c) if c.generation != self.generation => Err(ServeError::StaleCursor),
-            Some(c) => Ok(c.position),
-            None => Ok(0),
+        let mut sink = |a| {
+            if answers.len() < k {
+                answers.push(a);
+                ControlFlow::Continue(())
+            } else {
+                // A (k+1)-th answer exists: the page is full but not final.
+                more = true;
+                ControlFlow::Break(())
+            }
+        };
+        match scratch {
+            Some(scratch) => self.engine.for_each_from_with(scratch, position, &mut sink),
+            None => self.engine.for_each_from(position, &mut sink),
         }
-    }
-
-    fn page_step(
-        seen: &mut usize,
-        position: usize,
-        k: usize,
-        answers: &mut Vec<Assignment>,
-        more: &mut bool,
-        a: Assignment,
-    ) -> ControlFlow<()> {
-        if *seen < position {
-            *seen += 1;
-            return ControlFlow::Continue(());
-        }
-        if answers.len() < k {
-            answers.push(a);
-            ControlFlow::Continue(())
-        } else {
-            // A (k+1)-th answer exists: the page is full but not final.
-            *more = true;
-            ControlFlow::Break(())
-        }
-    }
-
-    fn page_from(&self, position: usize, answers: Vec<Assignment>, more: bool) -> Page {
         let next = more.then_some(PageCursor {
             generation: self.generation,
             position: position + answers.len(),
         });
-        Page { answers, next }
+        Ok(Page { answers, next })
     }
 }
 
@@ -1083,12 +1075,12 @@ impl ShardWriter {
     }
 
     /// Terminal quarantine: count the in-flight buffer as unacked loss, mark
-    /// the metrics (before any ack can be sent), and stop accepting writes.
-    fn quarantine_now(&mut self, _reason: &str) {
+    /// the metrics with the reason (before any ack can be sent), and stop
+    /// accepting writes.
+    fn quarantine_now(&mut self, reason: &str) {
         self.quarantined = true;
         self.drop_buf_unacked();
-        self.metrics.quarantined.store(true, Ordering::Release);
-        self.metrics.set_health(ShardHealth::Quarantined);
+        self.metrics.quarantine(reason);
     }
 
     /// Obtains the writable engine set: the held one, the

@@ -3,7 +3,7 @@
 
 use crate::lock::lock_unpoisoned;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The per-shard health state machine of the self-healing serve layer.
 ///
@@ -121,6 +121,8 @@ pub(crate) struct ShardMetrics {
     pub snapshot_errors: AtomicU64,
     pub backpressure_timeouts: AtomicU64,
     pub quarantined: AtomicBool,
+    /// Why the shard was quarantined (set once: quarantine is terminal).
+    pub quarantine_reason: OnceLock<String>,
     pub health: AtomicU8,
     pub panics_caught: AtomicU64,
     pub heals: AtomicU64,
@@ -137,6 +139,13 @@ pub(crate) struct ShardMetrics {
 impl ShardMetrics {
     pub(crate) fn set_health(&self, h: ShardHealth) {
         self.health.store(h.as_u8(), Ordering::Release);
+    }
+    /// Marks the shard quarantined for `reason` (terminal, so the first
+    /// reason is the one kept).
+    pub(crate) fn quarantine(&self, reason: &str) {
+        let _ = self.quarantine_reason.set(reason.to_owned());
+        self.quarantined.store(true, Ordering::Release);
+        self.set_health(ShardHealth::Quarantined);
     }
     pub(crate) fn record_flush(&self, rec: FlushRecord) {
         self.applied.fetch_add(rec.size as u64, Ordering::Relaxed);

@@ -12,13 +12,18 @@
 //!   path;
 //! * skewed (hot-subtree) and bursty edit streams interleaved with full
 //!   re-enumeration keep the incremental engine answer-identical to the
-//!   brute-force oracle and to a from-scratch rebuild.
+//!   brute-force oracle and to a from-scratch rebuild;
+//! * paging is O(k) per page: draining `N` answers in pages of `k` through
+//!   one scratch resumes every page from the previous page's trail — no
+//!   answer is enumerated only to reach a cursor, each answer is emitted
+//!   once plus once more per page boundary, and a warm second drain does
+//!   not allocate.
 
 use std::ops::ControlFlow;
 use treenum::automata::{queries, StepwiseTva};
 use treenum::core::TreeEnumerator;
 use treenum::enumeration::boxenum::BoxEnumMode;
-use treenum::enumeration::EnumStats;
+use treenum::enumeration::{EnumScratch, EnumStats};
 use treenum::trees::generate::{oracle_scale, random_tree, TreeShape};
 use treenum::trees::valuation::Assignment;
 use treenum::trees::{Alphabet, EditStream, Var};
@@ -267,4 +272,67 @@ fn skewed_edit_streams_interleaved_with_enumeration_match_oracle() {
 #[test]
 fn burst_edit_streams_interleaved_with_enumeration_match_oracle() {
     edit_stream_oracle(EditStream::burst, "burst");
+}
+
+/// Drains `engine` in pages of `k` through `scratch` the way the serving
+/// layer pages (stop on the `(k+1)`-th answer); returns `(answers, pages)`.
+fn drain_in_pages(engine: &TreeEnumerator, scratch: &mut EnumScratch, k: usize) -> (usize, u64) {
+    let (mut got, mut pages) = (0usize, 0u64);
+    loop {
+        let (mut page, mut more) = (0usize, false);
+        engine.for_each_from_with(scratch, got, &mut |_| {
+            if page < k {
+                page += 1;
+                ControlFlow::Continue(())
+            } else {
+                more = true;
+                ControlFlow::Break(())
+            }
+        });
+        got += page;
+        pages += 1;
+        if !more {
+            return (got, pages);
+        }
+    }
+}
+
+#[test]
+fn paging_resumes_instead_of_reenumerating() {
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    for mode in [BoxEnumMode::Indexed, BoxEnumMode::Reference] {
+        for (name, query) in query_families(&sigma) {
+            let tree = random_tree(&mut sigma, 400, TreeShape::Random, 21);
+            let mut engine = TreeEnumerator::new(tree, &query, sigma.len());
+            engine.set_box_enum_mode(mode);
+            let n = engine.count();
+            for k in [1usize, 25] {
+                let ctx = format!("{name} [{mode:?}] k={k}");
+                let mut scratch = EnumScratch::new();
+                let before = scratch.stats();
+                let (got, pages) = drain_in_pages(&engine, &mut scratch, k);
+                let after = scratch.stats();
+                assert_eq!(got, n, "{ctx}: the drain returns every answer");
+                assert_eq!(
+                    after.answers_skipped, before.answers_skipped,
+                    "{ctx}: a page skipped answers to reach its cursor"
+                );
+                assert_eq!(
+                    after.answers - before.answers,
+                    n as u64 + pages - 1,
+                    "{ctx}: pages must enumerate N + pages − 1 answers \
+                     (each refused answer once more), not Θ(N²/k)"
+                );
+                // Warm second drain: same pages, no allocation.
+                let (again, _) = drain_in_pages(&engine, &mut scratch, k);
+                assert_eq!(again, n);
+                assert_flat(
+                    name,
+                    &format!("{ctx}: second drain"),
+                    after,
+                    scratch.stats(),
+                );
+            }
+        }
+    }
 }

@@ -223,6 +223,13 @@ fn randomized_kill_points_never_lose_an_acked_op() {
                         crashed.wal_errors >= 1,
                         "{sname}/{kind:?}/k={k}: the failed append must be counted"
                     );
+                    let reason = server
+                        .quarantine_reason(0)
+                        .expect("a quarantined shard keeps its reason");
+                    assert!(
+                        reason.starts_with("WAL append failed"),
+                        "{sname}/{kind:?}/k={k}: unexpected quarantine reason: {reason}"
+                    );
                     assert_eq!(
                         server.ingest(0, ops[0]),
                         Err(ServeError::Quarantined),
@@ -315,6 +322,7 @@ fn unrecoverable_corruption_quarantines_instead_of_panicking() {
     let stats = server.shard_stats(0);
     assert!(fs.triggered());
     assert!(!stats.quarantined);
+    assert_eq!(server.quarantine_reason(0), None);
     assert_eq!(stats.wal_errors, 0);
     assert_eq!(stats.backpressure_timeouts, 0);
     drop(server);
@@ -344,6 +352,11 @@ fn unrecoverable_corruption_quarantines_instead_of_panicking() {
     assert_eq!(recovered.ingest(0, ops[0]), Err(ServeError::Quarantined));
     assert_eq!(recovered.flush(0), Err(ServeError::Quarantined));
     assert!(recovered.shard_stats(0).quarantined);
+    assert_eq!(
+        recovered.quarantine_reason(0).as_deref(),
+        Some(reason),
+        "the server keeps the recovery's quarantine reason"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

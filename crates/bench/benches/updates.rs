@@ -18,18 +18,9 @@ fn updates(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(900));
     for &n in &[1_000usize, 4_000, 16_000] {
         let tree = bench_tree(n, TreeShape::Random, 3);
-        group.bench_with_input(BenchmarkId::new("treenum_update", n), &n, |b, _| {
-            let mut engine = TreeEnumerator::new(tree.clone(), &query, alphabet_len);
-            let mut stream = EditStream::balanced_mix(labels.clone(), 9);
-            b.iter(|| {
-                let op = stream.next_for(engine.tree());
-                engine.apply(&op)
-            });
-        });
-        // O(1) NodeSampler-backed generation: the legacy arm above mixes the
-        // Θ(n) `next_for` generation into every iteration; this arm isolates
-        // `apply` (plus an O(1) draw) so the O(log n) update cost is visible
-        // at every size.
+        // O(1) NodeSampler-backed generation: each iteration times `apply`
+        // plus an O(1) draw, so the O(log n) update cost is visible at every
+        // size (a Θ(n) `next_for` generator would swamp it).
         group.bench_with_input(BenchmarkId::new("treenum_update_sampled", n), &n, |b, _| {
             let mut engine = TreeEnumerator::new(tree.clone(), &query, alphabet_len);
             let mut shadow = tree.clone();

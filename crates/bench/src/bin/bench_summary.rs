@@ -3,115 +3,90 @@
 //!
 //! ```text
 //! bench_summary [--profile full|smoke|e2|e8|e9|e11|e12|e13] [--out PATH]
-//!               [--check-e2 BASELINE.json] [--check-e8 BASELINE.json]
-//!               [--check-e9 BASELINE.json] [--check-e11 BASELINE.json]
-//!               [--check-e13 BASELINE.json] [--tolerance FRACTION]
+//!               [--check BASELINE.json]
 //! ```
 //!
 //! The committed trajectory files at the repository root are produced with the
 //! `full` profile (`--out BENCH_baseline.json` before a perf change,
 //! `--out BENCH_after.json` after); CI runs the `smoke` profile to keep the
-//! bench code compiling and running, plus `--profile e2 --check-e2
-//! BENCH_after.json`, `--profile e8 --check-e8 BENCH_after.json`,
-//! `--profile e9 --check-e9 BENCH_after.json`, `--profile e11 --check-e11
-//! BENCH_after.json` and `--profile e13 --check-e13 BENCH_after.json`,
-//! which exit non-zero when any freshly measured p95 of the gated group (E2
-//! per-answer delay / E8 amortized per-edit batch latency / E9 snapshot-read
-//! delay under concurrent ingest / E11 multiplexed read delay across
-//! registered queries / E13 read delay through writer-fault heal cycles)
-//! regresses more than the tolerance (default 0.25 = 25%)
-//! against the committed baseline.  The E11 gate additionally holds the
-//! fresh q=16 arm to within 1.5× the fresh q=1 arm's read p95 — the
-//! snapshot-multiplexing contract — independent of the baseline.  The E8
-//! and E11 gates re-measure any record the first pass flags (best of 3 /
-//! best of 2 extra runs) before reporting a regression — a genuine slowdown
-//! reproduces, a scheduling stall on the shared runner does not.  Every requested gate runs and prints its comparisons before the
-//! process exits, so one run shows every regression.  The `e12` profile
-//! records the crash-recovery group only; splice its `E12_recovery` records
-//! into `BENCH_after.json` rather than re-recording the gated groups.
-//! Without `--out` the JSON goes to stdout.
+//! bench code compiling and running, plus `--profile <gate> --check
+//! BENCH_after.json` for every row of the gate table
+//! (`treenum_bench::trajectory::GATES`: E2 per-answer delay, E8 amortized
+//! per-edit batch latency, E9 snapshot-read delay under concurrent ingest,
+//! E11 multiplexed read delay across registered queries, E13 read delay
+//! through writer-fault heal cycles).  `--check` judges every gate whose
+//! experiment the profile ran, each at its own row's bar, and exits non-zero
+//! when a fresh p95 regresses past that bar, when a gated record is missing,
+//! or when the profile runs no gated experiment at all.  Rows with re-measure
+//! runs (E8, E11) re-run their experiment before a flagged record fails — a
+//! genuine slowdown reproduces, a scheduling stall on the shared runner does
+//! not.  Every gate runs and prints its comparisons before the process exits,
+//! so one run shows every regression.  The `e12` profile records the
+//! crash-recovery group only; splice its `E12_recovery` records into
+//! `BENCH_after.json` rather than re-recording the gated groups.  Without
+//! `--out` the JSON goes to stdout.
 
-use criterion::Criterion;
+use criterion::{BenchRecord, Criterion};
 use std::path::{Path, PathBuf};
 use treenum_bench::summary::{run_summary, SummaryProfile};
-use treenum_bench::trajectory::{
-    check_e11_regression, check_e13_regression, check_e2_regression, check_e8_regression,
-    check_e9_regression, e8_allowed_ratio, GroupComparison, Trajectory, E11_MULTIPLEX_SLACK,
-};
-use treenum_bench::{
-    bench_alphabet, bench_tree, e8_strategies, measure_batch_apply, run_e11, select_b_query,
-};
-use treenum_trees::generate::TreeShape;
+use treenum_bench::trajectory::{Gate, Trajectory, GATES};
 
-fn main() {
-    let mut profile = SummaryProfile::full();
-    let mut out: Option<PathBuf> = None;
-    let mut check_e2: Option<PathBuf> = None;
-    let mut check_e8: Option<PathBuf> = None;
-    let mut check_e9: Option<PathBuf> = None;
-    let mut check_e11: Option<PathBuf> = None;
-    let mut check_e13: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
-    let mut args = std::env::args().skip(1);
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    profile: SummaryProfile,
+    out: Option<PathBuf>,
+    check: Option<PathBuf>,
+}
+
+/// Parses the arguments after the program name.  `Err("")` asks for the
+/// help text; any other `Err` is a usage error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = args.into_iter();
+    let mut parsed = Args {
+        profile: SummaryProfile::full(),
+        out: None,
+        check: None,
+    };
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("missing {what}"));
         match arg.as_str() {
             "--profile" => {
-                let name = args.next().unwrap_or_else(|| usage("missing profile name"));
-                profile = SummaryProfile::by_name(&name)
-                    .unwrap_or_else(|| usage(&format!("unknown profile {name:?}")));
+                let name = value("profile name")?;
+                parsed.profile = SummaryProfile::by_name(&name)
+                    .ok_or_else(|| format!("unknown profile {name:?}"))?;
             }
-            "--out" => {
-                let path = args.next().unwrap_or_else(|| usage("missing output path"));
-                out = Some(PathBuf::from(path));
-            }
-            "--check-e2" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e2 = Some(PathBuf::from(path));
-            }
-            "--check-e8" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e8 = Some(PathBuf::from(path));
-            }
-            "--check-e9" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e9 = Some(PathBuf::from(path));
-            }
-            "--check-e11" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e11 = Some(PathBuf::from(path));
-            }
-            "--check-e13" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e13 = Some(PathBuf::from(path));
-            }
-            "--tolerance" => {
-                let value = args.next().unwrap_or_else(|| usage("missing tolerance"));
-                tolerance = value
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad tolerance {value:?}")));
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unexpected argument {other:?}")),
+            "--out" => parsed.out = Some(value("output path")?.into()),
+            "--check" => parsed.check = Some(value("baseline path")?.into()),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unexpected argument {other:?}")),
         }
     }
+    // A check that gates nothing must not read as a pass.
+    if parsed.check.is_some() && gates_run(&parsed.profile).next().is_none() {
+        return Err(format!(
+            "--check: profile {} runs no gated experiment",
+            parsed.profile.name
+        ));
+    }
+    Ok(parsed)
+}
 
+/// The gates whose experiment `profile` runs, in table order.
+fn gates_run(profile: &SummaryProfile) -> impl Iterator<Item = &'static Gate> + '_ {
+    GATES.iter().filter(move |g| profile.runs(g.experiment))
+}
+
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    let profile = &args.profile;
     let mut criterion = Criterion::default();
-    run_summary(&mut criterion, &profile);
+    run_summary(&mut criterion, profile);
     let meta = [("profile", profile.name)];
-    match out {
+    match &args.out {
         Some(path) => {
             criterion
-                .write_summary_json(&path, &meta)
+                .write_summary_json(path, &meta)
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             eprintln!(
                 "wrote {} ({} benchmarks, profile {})",
@@ -123,77 +98,64 @@ fn main() {
         None => print!("{}", criterion.summary_json(&meta)),
     }
 
-    // Run every requested gate before exiting, so a single CI run reports
-    // every regression instead of stopping at the first failing gate.
+    let Some(baseline_path) = &args.check else {
+        return;
+    };
+    let baseline = Trajectory::load(baseline_path).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    // Run every gate before exiting, so a single CI run reports every
+    // regression instead of stopping at the first failing gate.
     let mut failed = false;
-    if let Some(baseline_path) = check_e2 {
-        failed |= run_gate(
-            "E2 p95",
-            check_e2_regression,
-            &baseline_path,
-            &criterion,
-            tolerance,
-        );
-    }
-    if let Some(baseline_path) = check_e8 {
-        failed |= run_e8_gate(&baseline_path, &criterion, &profile, tolerance);
-    }
-    if let Some(baseline_path) = check_e9 {
-        failed |= run_gate(
-            "E9 read-delay p95",
-            check_e9_regression,
-            &baseline_path,
-            &criterion,
-            tolerance,
-        );
-    }
-    if let Some(baseline_path) = check_e11 {
-        failed |= run_e11_gate(&baseline_path, &criterion, &profile, tolerance);
-    }
-    if let Some(baseline_path) = check_e13 {
-        failed |= run_gate(
-            "E13 read-through-faults p95",
-            check_e13_regression,
-            &baseline_path,
-            &criterion,
-            tolerance,
-        );
+    for gate in gates_run(profile) {
+        failed |= run_gate(gate, &baseline, baseline_path, criterion.records(), profile);
     }
     if failed {
         std::process::exit(1);
     }
 }
 
-/// The signature shared by the gate checkers in `treenum_bench::trajectory`.
-type GateCheck =
-    fn(&Trajectory, &[criterion::BenchRecord], f64) -> Result<Vec<GroupComparison>, String>;
-
-/// Compares the fresh run's p95s against a committed baseline file through
-/// `check`, printing every comparison.  Returns `true` when the gate failed
-/// (a regression, a gated record missing from the fresh run, or an unreadable
-/// baseline) — the caller aggregates failures across gates and exits once at
-/// the end.
+/// Judges one gate on the fresh records, re-running its experiment when the
+/// row asks for it and the first pass flagged something, and prints every
+/// comparison.  Returns `true` when the gate failed (a regression, a gated
+/// record missing from the fresh run, or an uncheckable cross-arm bar).
 fn run_gate(
-    label: &str,
-    check: GateCheck,
+    gate: &'static Gate,
+    baseline: &Trajectory,
     baseline_path: &Path,
-    criterion: &Criterion,
-    tolerance: f64,
+    fresh: &[BenchRecord],
+    profile: &SummaryProfile,
 ) -> bool {
-    let baseline = match Trajectory::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let comparisons = match check(&baseline, criterion.records(), tolerance) {
+    let label = gate.label;
+    let mut comparisons = match gate.check(baseline, fresh) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {label}: {e}");
             return true;
         }
     };
+    let runs = gate.remeasure_runs;
+    if runs > 0 && comparisons.iter().any(|c| c.regressed) {
+        for c in comparisons.iter().filter(|c| c.regressed) {
+            eprintln!(
+                "{label} {}: first pass {:.2}x — re-measuring (best of {runs} re-runs)",
+                c.name, c.ratio
+            );
+        }
+        let only = SummaryProfile {
+            experiments: Some(std::slice::from_ref(&gate.experiment)),
+            ..profile.clone()
+        };
+        let reruns: Vec<Vec<BenchRecord>> = (0..runs)
+            .map(|_| {
+                let mut scratch = Criterion::default();
+                run_summary(&mut scratch, &only);
+                scratch.records().to_vec()
+            })
+            .collect();
+        comparisons = gate.rejudge(comparisons, &reruns);
+    }
     let mut regressed = false;
     for c in &comparisons {
         eprintln!(
@@ -208,305 +170,18 @@ fn run_gate(
     }
     if regressed {
         eprintln!(
-            "error: {label} regressed more than {:.0}% against {}",
-            tolerance * 100.0,
+            "error: {label} regressed past its bar (tolerance {:.0}%) against {}",
+            gate.tolerance * 100.0,
             baseline_path.display()
         );
         return true;
     }
     eprintln!(
-        "{label} check passed ({} records within {:.0}% of {})",
-        comparisons.len(),
-        tolerance * 100.0,
-        baseline_path.display()
-    );
-    false
-}
-
-/// The E8 gate with a flake guard.  Amortized batch p95s on a shared 1-CPU
-/// runner occasionally catch a scheduler stall in a measured sample, so
-/// every record the first pass flags is re-measured up to three times (same
-/// tree seed, stream seed and timing budgets as the recorded run) and
-/// judged on the *minimum* p95: a genuine regression reproduces in all
-/// three runs, a one-off stall does not.  The verdict bar is
-/// [`e8_allowed_ratio`] — identical to the first pass, including the
-/// widened `_k1/` tolerance.
-fn run_e8_gate(
-    baseline_path: &Path,
-    criterion: &Criterion,
-    profile: &SummaryProfile,
-    tolerance: f64,
-) -> bool {
-    let label = "E8 amortized p95";
-    let baseline = match Trajectory::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let comparisons = match check_e8_regression(&baseline, criterion.records(), tolerance) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let mut regressed = false;
-    for c in &comparisons {
-        let mut fresh_p95 = c.fresh_p95_ns;
-        let mut ratio = c.ratio;
-        let mut flagged = c.regressed;
-        if flagged {
-            eprintln!(
-                "{label} {}: first pass {:.2}x over baseline — re-measuring (min of 3)",
-                c.name, c.ratio
-            );
-            match remeasure_e8(&c.name, profile, 3) {
-                Some(min_p95) => {
-                    fresh_p95 = min_p95;
-                    ratio = min_p95 as f64 / c.baseline_p95_ns as f64;
-                    flagged = ratio > e8_allowed_ratio(&c.name, tolerance);
-                }
-                None => eprintln!(
-                    "warning: cannot re-measure {} (unrecognized record name); \
-                     keeping the first-pass verdict",
-                    c.name
-                ),
-            }
-        }
-        eprintln!(
-            "{label} {}: baseline {} ns, now {} ns ({:.2}x){}",
-            c.name,
-            c.baseline_p95_ns,
-            fresh_p95,
-            ratio,
-            if flagged { "  REGRESSION" } else { "" }
-        );
-        regressed |= flagged;
-    }
-    if regressed {
-        eprintln!(
-            "error: {label} regressed more than {:.0}% against {} \
-             (confirmed by re-measurement)",
-            tolerance * 100.0,
-            baseline_path.display()
-        );
-        return true;
-    }
-    eprintln!(
-        "{label} check passed ({} records within tolerance of {})",
+        "{label} check passed ({} records within their bars against {})",
         comparisons.len(),
         baseline_path.display()
     );
     false
-}
-
-/// Re-runs the measurement behind one `batch_<strategy>_k<k>/<n>` record
-/// `runs` times and returns the smallest p95 (ns).  Mirrors `run_e8`'s
-/// setup exactly — same tree seed (17), stream seed (`1_000 + 31·si + k`)
-/// and the profile's timing budgets — so the numbers are comparable with
-/// the recorded pass.  Returns `None` when the name doesn't parse as an E8
-/// batch record.
-fn remeasure_e8(name: &str, profile: &SummaryProfile, runs: usize) -> Option<u128> {
-    let rest = name.strip_prefix("batch_")?;
-    let (head, n) = rest.split_once('/')?;
-    let n: usize = n.parse().ok()?;
-    let (sname, k) = head.rsplit_once("_k")?;
-    let k: usize = k.parse().ok()?;
-    let (si, (_, make)) = e8_strategies()
-        .into_iter()
-        .enumerate()
-        .find(|(_, (s, _))| *s == sname)?;
-    let (query, alphabet_len) = select_b_query();
-    let labels: Vec<_> = bench_alphabet().labels().collect();
-    let tree = bench_tree(n, TreeShape::Random, 17);
-    let seed = 1_000 + 31 * si as u64 + k as u64;
-    let mut best: Option<u128> = None;
-    for _ in 0..runs {
-        let rec = measure_batch_apply(
-            &tree,
-            &query,
-            alphabet_len,
-            &labels,
-            make,
-            seed,
-            k,
-            true,
-            name.to_string(),
-            profile.warm_up,
-            profile.measurement,
-        );
-        let p95 = rec.p95_ns?;
-        best = Some(best.map_or(p95, |b| b.min(p95)));
-    }
-    best
-}
-
-/// Like `run_gate` for the E11 checker, with the E8 gate's flake discipline:
-/// any comparison the first pass flags is re-measured before a regression is
-/// reported.  Trajectory rows (`read_q<q>_r<r>/<n>`) re-run their arm twice
-/// and are re-judged on the smallest p95; the cross-arm multiplexing row
-/// (`read_q<q>_vs_q1/<n>`) re-runs the `q = 1` and `q = <q>` arms *together*
-/// twice and is re-judged on the best paired ratio, so both sides of the
-/// ratio see the same machine state.  A genuine multiplexing regression
-/// (per-query republication is a Q× cost) reproduces; a scheduler tail that
-/// landed in one arm's p95 does not.
-fn run_e11_gate(
-    baseline_path: &Path,
-    criterion: &Criterion,
-    profile: &SummaryProfile,
-    tolerance: f64,
-) -> bool {
-    let label = "E11 multiplexed read p95";
-    let baseline = match Trajectory::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let comparisons = match check_e11_regression(&baseline, criterion.records(), tolerance) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let mut regressed = false;
-    for c in &comparisons {
-        let mut baseline_p95 = c.baseline_p95_ns;
-        let mut fresh_p95 = c.fresh_p95_ns;
-        let mut ratio = c.ratio;
-        let mut flagged = c.regressed;
-        if flagged {
-            eprintln!(
-                "{label} {}: first pass {:.2}x — re-measuring (best of 2)",
-                c.name, c.ratio
-            );
-            let cross = c.name.contains("_vs_q1");
-            let remeasured = if cross {
-                // Re-judge the pair on the best ratio; the q1 side of that
-                // attempt replaces the reference so the printed numbers stay
-                // one measurement, not a min-of-mins across attempts.
-                remeasure_e11_pair(&c.name, profile, 2)
-            } else {
-                remeasure_e11_arm(&c.name, profile, 2).map(|p95| (c.baseline_p95_ns, p95))
-            };
-            match remeasured {
-                Some((reference, p95)) => {
-                    baseline_p95 = reference;
-                    fresh_p95 = p95;
-                    ratio = p95 as f64 / reference as f64;
-                    let bar = if cross {
-                        E11_MULTIPLEX_SLACK
-                    } else {
-                        1.0 + tolerance
-                    };
-                    flagged = ratio > bar;
-                }
-                None => eprintln!(
-                    "warning: cannot re-measure {} (unrecognized record name); \
-                     keeping the first-pass verdict",
-                    c.name
-                ),
-            }
-        }
-        eprintln!(
-            "{label} {}: baseline {} ns, now {} ns ({:.2}x){}",
-            c.name,
-            baseline_p95,
-            fresh_p95,
-            ratio,
-            if flagged { "  REGRESSION" } else { "" }
-        );
-        regressed |= flagged;
-    }
-    if regressed {
-        eprintln!(
-            "error: {label} regressed against {} (confirmed by re-measurement)",
-            baseline_path.display()
-        );
-        return true;
-    }
-    eprintln!(
-        "{label} check passed ({} records within tolerance of {})",
-        comparisons.len(),
-        baseline_path.display()
-    );
-    false
-}
-
-/// Re-runs the E11 arm behind one `read_q<q>_r<r>/<n>` record `runs` times
-/// (same seeds and budgets as the recorded pass) and returns the smallest
-/// read p95 (ns).  Returns `None` when the name doesn't parse.
-fn remeasure_e11_arm(name: &str, profile: &SummaryProfile, runs: usize) -> Option<u128> {
-    let (q, rest) = parse_e11_name(name, "_r")?;
-    let (readers, n) = rest.split_once('/')?;
-    let readers: usize = readers.parse().ok()?;
-    let n: usize = n.parse().ok()?;
-    let mut best: Option<u128> = None;
-    for _ in 0..runs {
-        let mut scratch = Criterion::default();
-        run_e11(
-            &mut scratch,
-            &[n],
-            &[q],
-            readers,
-            profile.e2_answers,
-            profile.warm_up,
-            profile.measurement * 3,
-        );
-        let p95 = scratch
-            .records()
-            .iter()
-            .find(|r| r.name == name)
-            .and_then(|r| r.p95_ns)?;
-        best = Some(best.map_or(p95, |b| b.min(p95)));
-    }
-    best
-}
-
-/// Re-runs the `q = 1` and `q = <q>` arms behind one `read_q<q>_vs_q1/<n>`
-/// comparison together, `runs` times, and returns the `(q1_p95, q_p95)`
-/// pair of the attempt with the smallest cross-arm ratio.  Both arms of
-/// each attempt run back to back in one `run_e11` invocation, so the ratio
-/// always compares measurements taken under the same machine state.
-fn remeasure_e11_pair(name: &str, profile: &SummaryProfile, runs: usize) -> Option<(u128, u128)> {
-    let (q, rest) = parse_e11_name(name, "_vs_q1/")?;
-    let n: usize = rest.parse().ok()?;
-    let readers = profile.e9_readers;
-    let mut best: Option<(u128, u128)> = None;
-    for _ in 0..runs {
-        let mut scratch = Criterion::default();
-        run_e11(
-            &mut scratch,
-            &[n],
-            &[1, q],
-            readers,
-            profile.e2_answers,
-            profile.warm_up,
-            profile.measurement * 3,
-        );
-        let p95_of = |arm_q: usize| {
-            scratch
-                .records()
-                .iter()
-                .find(|r| r.name == format!("read_q{arm_q}_r{readers}/{n}"))
-                .and_then(|r| r.p95_ns)
-        };
-        let pair = (p95_of(1)?, p95_of(q)?);
-        let ratio = |(a, b): (u128, u128)| b as f64 / a as f64;
-        best = Some(best.map_or(pair, |b| if ratio(pair) < ratio(b) { pair } else { b }));
-    }
-    best
-}
-
-/// Splits `read_q<q><sep>…` into the `q` arm and whatever follows `sep`.
-fn parse_e11_name<'a>(name: &'a str, sep: &str) -> Option<(usize, &'a str)> {
-    let rest = name.strip_prefix("read_q")?;
-    let (q, rest) = rest.split_once(sep)?;
-    Some((q.parse().ok()?, rest))
 }
 
 fn usage(error: &str) -> ! {
@@ -515,9 +190,47 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: bench_summary [--profile full|smoke|e2|e8|e9|e11|e12|e13] [--out PATH] \
-         [--check-e2 BASELINE.json] [--check-e8 BASELINE.json] \
-         [--check-e9 BASELINE.json] [--check-e11 BASELINE.json] \
-         [--check-e13 BASELINE.json] [--tolerance FRACTION]"
+         [--check BASELINE.json]"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn check_takes_a_gate_profile() {
+        let args = parse(&["--profile", "e11", "--check", "BENCH_after.json"]).unwrap();
+        assert_eq!(args.profile.name, "e11");
+        assert_eq!(args.check, Some(PathBuf::from("BENCH_after.json")));
+        let gates: Vec<_> = gates_run(&args.profile).map(|g| g.experiment).collect();
+        assert_eq!(gates, ["E11"]);
+        // The full profile runs every gated experiment.
+        let full = parse(&["--check", "BENCH_after.json"]).unwrap();
+        assert_eq!(gates_run(&full.profile).count(), GATES.len());
+    }
+
+    #[test]
+    fn check_on_an_ungated_profile_is_refused() {
+        let err = parse(&["--profile", "e12", "--check", "BENCH_after.json"]).unwrap_err();
+        assert!(err.contains("runs no gated experiment"), "{err}");
+        // Without --check the profile is fine.
+        assert!(parse(&["--profile", "e12"]).is_ok());
+    }
+
+    #[test]
+    fn removed_gate_flags_are_usage_errors() {
+        for flag in ["--check-e8", "--tolerance"] {
+            let err = parse(&["--profile", "e8", flag, "0.5"]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        assert!(parse(&["--check"]).unwrap_err().contains("missing"));
+        assert!(parse(&["--profile", "e7"]).is_err());
+        assert_eq!(parse(&["--help"]).unwrap_err(), "");
+    }
 }

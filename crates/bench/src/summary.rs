@@ -7,9 +7,11 @@
 //! Perf PRs record a baseline before touching the hot path and an "after" file
 //! once done, so the repository carries its own performance trajectory.
 //!
-//! Two profiles are provided: `full` (the numbers quoted in EXPERIMENTS.md,
-//! tens of seconds) and `smoke` (tiny sizes, a few seconds — run by CI so the
-//! bench code cannot bit-rot).
+//! Two profiles cover every experiment: `full` (the numbers quoted in
+//! EXPERIMENTS.md, tens of seconds) and `smoke` (tiny sizes, a few seconds —
+//! run by CI so the bench code cannot bit-rot).  The others run one
+//! experiment at the `full` sizes: one per CI gate row
+//! ([`SummaryProfile::gate`]) and `e12` (crash recovery).
 
 use criterion::{BenchRecord, BenchmarkId, Criterion};
 use std::ops::ControlFlow;
@@ -25,6 +27,7 @@ use treenum_trees::generate::{random_word, EditStream, TreeShape};
 use treenum_trees::valuation::Var;
 use treenum_trees::{Alphabet, Label};
 
+use crate::trajectory::{Gate, GATES};
 use crate::{bench_alphabet, bench_tree, first_k, kth_child_query, pair_query, select_b_query};
 
 /// Workload sizes and timing budgets for one summary run.
@@ -79,9 +82,9 @@ pub struct SummaryProfile {
     pub measurement: Duration,
     /// Nominal sample count (sizes the stub's timing batches).
     pub sample_size: usize,
-    /// Which experiments to run (`None` = all of E1–E8).  The `e2` / `e8`
-    /// profiles restrict the run to one experiment so CI can gate on its
-    /// percentiles without paying for the full sweep.
+    /// Which experiments to run (`None` = all).  The gate profiles restrict
+    /// the run to one experiment so CI can gate on its percentiles without
+    /// paying for the full sweep.
     pub experiments: Option<&'static [&'static str]>,
 }
 
@@ -149,65 +152,22 @@ impl SummaryProfile {
         }
     }
 
-    /// The delay experiment only, at the `full` sizes but with reduced timing
-    /// budgets: the workload behind CI's E2 p95 regression gate.  The record
-    /// names match the committed `BENCH_baseline.json` (same sizes), so the
+    /// The profile behind one CI gate: the gate's experiment only, at the
+    /// `full` sizes with the gate's timing budgets.  The record names match
+    /// the committed trajectory (same sizes, arms and seeds), so the
     /// comparison is apples to apples.
-    pub fn e2() -> Self {
-        SummaryProfile {
-            name: "e2",
-            // Empty legacy sizes: the first-200 arm carries no percentiles,
-            // so the gate run skips it and measures only the six per-answer
-            // records the p95 comparison actually uses.
-            tree_sizes: vec![],
-            warm_up: Duration::from_millis(100),
-            measurement: Duration::from_millis(400),
-            experiments: Some(&["E2"]),
+    pub fn gate(gate: &'static Gate) -> Self {
+        let mut profile = SummaryProfile {
+            name: gate.profile,
+            warm_up: gate.warm_up,
+            measurement: gate.measurement,
+            experiments: Some(std::slice::from_ref(&gate.experiment)),
             ..Self::full()
+        };
+        if !gate.tree_sizes {
+            profile.tree_sizes.clear();
         }
-    }
-
-    /// The batch-update experiment only, at the `full` sizes but with reduced
-    /// timing budgets: the workload behind CI's E8 amortized-p95 regression
-    /// gate.  The record names match the committed trajectory (same sizes and
-    /// batch sizes), so the comparison is apples to apples.
-    pub fn e8() -> Self {
-        SummaryProfile {
-            name: "e8",
-            warm_up: Duration::from_millis(50),
-            measurement: Duration::from_millis(200),
-            experiments: Some(&["E8"]),
-            ..Self::full()
-        }
-    }
-
-    /// The concurrent-serving experiment only, at the `full` sizes but with a
-    /// reduced measurement budget: the workload behind CI's E9 read-delay p95
-    /// regression gate.  The record names match the committed trajectory
-    /// (same sizes and reader counts), so the comparison is apples to apples.
-    pub fn e9() -> Self {
-        SummaryProfile {
-            name: "e9",
-            warm_up: Duration::from_millis(100),
-            measurement: Duration::from_millis(400),
-            experiments: Some(&["E9"]),
-            ..Self::full()
-        }
-    }
-
-    /// The query-registry experiment only, at the `full` sizes but with a
-    /// reduced measurement budget: the workload behind CI's E11 multiplexed
-    /// read-delay p95 gate.  The record names match the committed trajectory
-    /// (same sizes, reader and query counts), so the comparison is apples to
-    /// apples.
-    pub fn e11() -> Self {
-        SummaryProfile {
-            name: "e11",
-            warm_up: Duration::from_millis(100),
-            measurement: Duration::from_millis(400),
-            experiments: Some(&["E11"]),
-            ..Self::full()
-        }
+        profile
     }
 
     /// The crash-recovery experiment only, at the `full` sizes: measures
@@ -224,35 +184,19 @@ impl SummaryProfile {
         }
     }
 
-    /// The chaos-serving experiment only, at the `full` sizes: the workload
-    /// behind CI's E13 read-through-faults p95 regression gate.  The record
-    /// names match the committed trajectory (same sizes, reader count and
-    /// fault cycles), so the comparison is apples to apples.
-    pub fn e13() -> Self {
-        SummaryProfile {
-            name: "e13",
-            experiments: Some(&["E13"]),
-            ..Self::full()
-        }
-    }
-
-    /// Parses a profile name (`full` / `smoke` / `e2` / `e8` / `e9` /
-    /// `e11` / `e12` / `e13`).
+    /// Parses a profile name: `full`, `smoke`, `e12`, or a gate row's
+    /// profile (`e2` / `e8` / `e9` / `e11` / `e13`).
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
             "full" => Some(Self::full()),
             "smoke" => Some(Self::smoke()),
-            "e2" => Some(Self::e2()),
-            "e8" => Some(Self::e8()),
-            "e9" => Some(Self::e9()),
-            "e11" => Some(Self::e11()),
             "e12" => Some(Self::e12()),
-            "e13" => Some(Self::e13()),
-            _ => None,
+            _ => GATES.iter().find(|g| g.profile == name).map(Self::gate),
         }
     }
 
-    fn runs(&self, experiment: &str) -> bool {
+    /// Whether the profile runs `experiment` (`"E2"`, …).
+    pub fn runs(&self, experiment: &str) -> bool {
         self.experiments
             .is_none_or(|list| list.contains(&experiment))
     }
@@ -429,17 +373,8 @@ fn e3_updates(c: &mut Criterion, p: &SummaryProfile) {
     group.measurement_time(p.measurement);
     for &n in &p.tree_sizes {
         let tree = bench_tree(n, TreeShape::Random, 3);
-        group.bench_with_input(BenchmarkId::new("treenum_update", n), &n, |b, _| {
-            let mut engine = TreeEnumerator::new(tree.clone(), &query, alphabet_len);
-            let mut stream = EditStream::balanced_mix(labels.clone(), 9);
-            b.iter(|| {
-                let op = stream.next_for(engine.tree());
-                engine.apply(&op)
-            });
-        });
-        // The same workload with O(1) NodeSampler-backed generation: the
-        // legacy arm's per-iteration time mixes Θ(n) generation with apply,
-        // this arm isolates apply (plus an O(1) draw) at every size.
+        // O(1) NodeSampler-backed generation, so each iteration times
+        // `apply` plus an O(1) draw, not a Θ(n) `next_for` generator.
         group.bench_with_input(BenchmarkId::new("treenum_update_sampled", n), &n, |b, _| {
             let mut engine = TreeEnumerator::new(tree.clone(), &query, alphabet_len);
             let mut shadow = tree.clone();
